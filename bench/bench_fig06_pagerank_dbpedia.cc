@@ -109,7 +109,7 @@ void BM_RexDeltaScalar(benchmark::State& state) {
 BENCHMARK(BM_RexDeltaScalar)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // Differential-compression ablation pair: identical query and knobs, the
-// checkpoint/wire codec on vs off. Results are bit-identical (the CI smoke
+// checkpoint codec on vs off. Results are bit-identical (the CI smoke
 // job asserts equal tuples_sent / strata); the diff profile must report
 // ckpt_stored_bytes < ckpt_raw_bytes on this checkpoint-heavy workload.
 void BM_RexDeltaDiff(benchmark::State& state) {
@@ -124,7 +124,6 @@ void BM_RexDeltaNoDiff(benchmark::State& state) {
   for (auto _ : state) {
     RexRunTweaks tweaks;
     tweaks.diff_checkpoints = false;
-    tweaks.diff_wire_runs = false;
     auto r = RunRexPageRank(Graph(), RexMode::kDelta, kWorkers, kIterations,
                             0.01, tweaks);
     if (r.ok()) EmitRecursiveSeries("fig6", "REXdelta-nodiff", *r);

@@ -111,7 +111,7 @@ void BM_RexDeltaScalar(benchmark::State& state) {
 BENCHMARK(BM_RexDeltaScalar)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // Differential-compression ablation pair: identical query and knobs, the
-// checkpoint/wire codec on vs off. Results are bit-identical (the CI smoke
+// checkpoint codec on vs off. Results are bit-identical (the CI smoke
 // job asserts equal tuples_sent / strata).
 void BM_RexDeltaDiff(benchmark::State& state) {
   for (auto _ : state) {
@@ -125,7 +125,6 @@ void BM_RexDeltaNoDiff(benchmark::State& state) {
   for (auto _ : state) {
     RexRunTweaks tweaks;
     tweaks.diff_checkpoints = false;
-    tweaks.diff_wire_runs = false;
     auto r = RunRexSssp(Graph(), /*delta=*/true, kWorkers, kFullIterations,
                         0, tweaks);
     if (r.ok()) EmitRecursiveSeries("fig7", "REXdelta-nodiff", *r);

@@ -31,22 +31,11 @@ void EmitBoth(const char* figure, const std::string& series, int64_t bytes,
       static_cast<double>(bytes) / (1024.0 * 1024.0), "MB");
 }
 
-/// Differential-compression view of a REX run: raw vs shipped/stored
-/// volumes for packed shuffle runs and checkpoint epochs, plus the
-/// resulting ratios (>= 1 when the codec pays for itself).
+/// Differential-compression view of a REX run: raw vs stored checkpoint
+/// epoch volume, plus the ratio (>= 1 when the codec pays for itself).
 void EmitCompression(const char* figure, const std::string& series,
                      const QueryProfile& p) {
   const double mb = 1024.0 * 1024.0;
-  Row(figure, series + "/wire_raw", 0,
-      static_cast<double>(p.run_raw_bytes) / mb, "MB");
-  Row(figure, series + "/wire_compressed", 0,
-      static_cast<double>(p.run_compressed_bytes) / mb, "MB");
-  if (p.run_compressed_bytes > 0) {
-    Row(figure, series + "/wire_ratio", 0,
-        static_cast<double>(p.run_raw_bytes) /
-            static_cast<double>(p.run_compressed_bytes),
-        "x");
-  }
   Row(figure, series + "/ckpt_raw", 0,
       static_cast<double>(p.ckpt_raw_bytes) / mb, "MB");
   Row(figure, series + "/ckpt_stored", 0,
@@ -69,7 +58,6 @@ void BM_PageRankBandwidth(benchmark::State& state) {
     }
     RexRunTweaks nodiff;
     nodiff.diff_checkpoints = false;
-    nodiff.diff_wire_runs = false;
     auto raw = RunRexPageRank(Graph(), RexMode::kDelta, kWorkers, 31, 0.01,
                               nodiff);
     if (raw.ok()) {
@@ -103,7 +91,6 @@ void BM_SsspBandwidth(benchmark::State& state) {
     }
     RexRunTweaks nodiff;
     nodiff.diff_checkpoints = false;
-    nodiff.diff_wire_runs = false;
     auto raw = RunRexSssp(Graph(), /*delta=*/true, kWorkers, 15, 0, nodiff);
     if (raw.ok()) {
       RecordProfile("sssp/REXdelta-nodiff", raw->profile);

@@ -59,10 +59,9 @@ struct RexRunTweaks {
   /// bit-identical either way.
   bool columnar_batches = true;
   /// Differential compression (common/delta_codec.h) of checkpoint epoch
-  /// chains and packed shuffle runs. Results are bit-identical either way;
-  /// the ablation pairs compare shipped/stored byte volume.
+  /// chains. Results are bit-identical either way; the ablation pairs
+  /// compare stored byte volume.
   bool diff_checkpoints = true;
-  bool diff_wire_runs = true;
 };
 
 /// REX PageRank in any of the three configurations of §6. `iterations`
@@ -77,7 +76,6 @@ inline Result<SeriesResult> RunRexPageRank(const GraphData& graph,
   engine.coalesce_deltas = tweaks.coalesce_deltas;
   engine.columnar_batches = tweaks.columnar_batches;
   engine.diff_checkpoints = tweaks.diff_checkpoints;
-  engine.diff_wire_runs = tweaks.diff_wire_runs;
   Cluster cluster(std::move(engine));
   PageRankConfig cfg;
   cfg.threshold = threshold;
@@ -129,7 +127,6 @@ inline Result<SeriesResult> RunRexSssp(const GraphData& graph, bool delta,
   engine.coalesce_deltas = tweaks.coalesce_deltas;
   engine.columnar_batches = tweaks.columnar_batches;
   engine.diff_checkpoints = tweaks.diff_checkpoints;
-  engine.diff_wire_runs = tweaks.diff_wire_runs;
   Cluster cluster(std::move(engine));
   REX_RETURN_NOT_OK(LoadGraphTables(&cluster, graph));
   SsspConfig cfg;

@@ -574,8 +574,6 @@ void Cluster::AssembleProfile(const std::vector<int>& live,
     p.coalesce_bytes_saved += m->Value(metrics::kCoalesceBytesSaved);
     p.batch_rows += m->Value(metrics::kBatchRows);
     p.batch_fallback_rows += m->Value(metrics::kBatchFallbackRows);
-    p.run_raw_bytes += m->Value(metrics::kRunRawBytes);
-    p.run_compressed_bytes += m->Value(metrics::kRunCompressedBytes);
   }
 }
 
@@ -835,9 +833,6 @@ Cluster::ProfileBaseline Cluster::SnapshotBaseline() const {
         w->metrics()->Value(metrics::kCoalesceBytesSaved);
     b.batch_rows += w->metrics()->Value(metrics::kBatchRows);
     b.batch_fallback_rows += w->metrics()->Value(metrics::kBatchFallbackRows);
-    b.run_raw_bytes += w->metrics()->Value(metrics::kRunRawBytes);
-    b.run_compressed_bytes +=
-        w->metrics()->Value(metrics::kRunCompressedBytes);
   }
   MetricsRegistry& ckpt = active_checkpoints_->metrics();
   b.checkpoint_bytes = ckpt.Value(metrics::kCheckpointBytes);
@@ -872,9 +867,6 @@ void Cluster::SubtractBaseline(const ProfileBaseline& base, QueryProfile* p) {
   p->retransmits = diff(p->retransmits, base.retransmits);
   p->ckpt_raw_bytes = diff(p->ckpt_raw_bytes, base.ckpt_raw_bytes);
   p->ckpt_stored_bytes = diff(p->ckpt_stored_bytes, base.ckpt_stored_bytes);
-  p->run_raw_bytes = diff(p->run_raw_bytes, base.run_raw_bytes);
-  p->run_compressed_bytes =
-      diff(p->run_compressed_bytes, base.run_compressed_bytes);
 }
 
 Result<QueryRunResult> Cluster::ApplyBaseUpdate(int query_id,

@@ -20,7 +20,6 @@
 #include "optimizer/stats.h"
 #include "sim/chaos_injector.h"
 #include "sim/fault_schedule.h"
-#include "storage/spill.h"
 #include "storage/table.h"
 
 namespace rex {
@@ -278,8 +277,6 @@ class Cluster {
     int64_t retransmits = 0;
     int64_t ckpt_raw_bytes = 0;
     int64_t ckpt_stored_bytes = 0;
-    int64_t run_raw_bytes = 0;
-    int64_t run_compressed_bytes = 0;
   };
   ProfileBaseline SnapshotBaseline() const;
   static void SubtractBaseline(const ProfileBaseline& base, QueryProfile* p);

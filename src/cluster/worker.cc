@@ -1,9 +1,6 @@
 #include "cluster/worker.h"
 
-#include "common/delta_codec.h"
-#include "common/hash.h"
 #include "common/logging.h"
-#include "common/serde.h"
 
 namespace rex {
 
@@ -62,11 +59,6 @@ void WorkerNode::DropPlan(int query_id) {
   if (it == plans_.end()) return;
   if (query_id == active_query_) plan_ = nullptr;
   plans_.erase(it);
-  // The evicted query's wire-run mirrors die with its plan (a reinstalled
-  // plan's fresh senders restart every edge with a kRaw run anyway).
-  for (auto e = wire_runs_.begin(); e != wire_runs_.end();) {
-    e = std::get<0>(e->first) == query_id ? wire_runs_.erase(e) : ++e;
-  }
 }
 
 void WorkerNode::StageRecovery(const PartitionMap* new_pmap,
@@ -137,9 +129,6 @@ Status WorkerNode::Dispatch(Message& msg) {
     case Message::Kind::kData: {
       if (plan_ == nullptr) return Status::Internal("data before plan");
       REX_RETURN_NOT_OK(ValidateTarget(msg));
-      if (msg.wire_codec != Message::WireCodec::kNone) {
-        REX_ASSIGN_OR_RETURN(msg.deltas, DecodeWireRun(msg));
-      }
       trace_.Record(TraceEvent::Kind::kDispatchData, msg.target_op,
                     msg.target_port,
                     static_cast<int64_t>(msg.deltas.size()));
@@ -182,44 +171,6 @@ Status WorkerNode::ValidateTarget(const Message& msg) const {
   return Status::OK();
 }
 
-Result<DeltaVec> WorkerNode::DecodeWireRun(Message& msg) {
-  WireRunRef& edge =
-      wire_runs_[std::make_tuple(active_query_, msg.from_worker,
-                                 msg.target_op)];
-  std::string raw;
-  if (msg.wire_codec == Message::WireCodec::kRaw) {
-    raw = std::move(msg.wire_payload);
-  } else {
-    if (edge.run_seq != msg.wire_ref_seq || edge.check != msg.wire_ref_check) {
-      return Status::DataLoss(
-          "wire run from worker " + std::to_string(msg.from_worker) +
-          " for op " + std::to_string(msg.target_op) +
-          " delta-encodes against edge run " +
-          std::to_string(msg.wire_ref_seq) + " but the receiver mirror holds " +
-          std::to_string(edge.run_seq));
-    }
-    REX_ASSIGN_OR_RETURN(
-        raw, DeltaCodecDecode(edge.raw, msg.wire_payload, msg.wire_raw_size));
-  }
-  if (raw.size() != msg.wire_raw_size ||
-      HashBytes(raw.data(), raw.size()) != msg.wire_raw_check) {
-    return Status::DataLoss(
-        "wire run " + std::to_string(msg.wire_run_seq) + " from worker " +
-        std::to_string(msg.from_worker) +
-        " failed its integrity check after decode");
-  }
-  REX_ASSIGN_OR_RETURN(DeltaVec deltas, DeserializeDeltas(raw));
-  if (static_cast<int64_t>(deltas.size()) != msg.wire_tuples) {
-    return Status::DataLoss("wire run tuple count mismatch: payload holds " +
-                            std::to_string(deltas.size()) + ", header says " +
-                            std::to_string(msg.wire_tuples));
-  }
-  edge.run_seq = msg.wire_run_seq;
-  edge.check = msg.wire_raw_check;
-  edge.raw = std::move(raw);
-  return deltas;
-}
-
 Status WorkerNode::HandleControl(const ControlMsg& c) {
   switch (c.kind) {
     case ControlMsg::Kind::kStartStratum:
@@ -228,9 +179,6 @@ Status WorkerNode::HandleControl(const ControlMsg& c) {
     case ControlMsg::Kind::kRecoverPrepare: {
       ctx_.pmap = staged_pmap_;
       ctx_.old_pmap = staged_old_pmap_;
-      // Senders drop their wire-run dictionaries in ResetTransientState /
-      // OnMembershipChange; drop the receiver mirrors to match.
-      wire_runs_.clear();
       REX_RETURN_NOT_OK(plan_->OnMembershipChange());
       REX_RETURN_NOT_OK(plan_->ResetTransientState());
       if (staged_last_stratum_ >= 0) {

@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 
 #include "engine/local_plan.h"
@@ -82,12 +81,6 @@ class WorkerNode {
   Status Dispatch(Message& msg);
   Status ValidateTarget(const Message& msg) const;
   Status HandleControl(const ControlMsg& c);
-  /// Decodes a packed wire run (Message::WireCodec) back into deltas,
-  /// advancing this edge's reference mirror. A delta payload whose
-  /// reference does not match the mirror (sequence or checksum), or whose
-  /// decoded bytes fail their integrity check, is kDataLoss — never
-  /// silently-wrong tuples.
-  Result<DeltaVec> DecodeWireRun(Message& msg);
 
   int id_;
   Network* network_;
@@ -107,19 +100,6 @@ class WorkerNode {
   LocalPlan* plan_ = nullptr;
   std::thread thread_;
   Status error_;
-
-  /// Receiver half of wire-run compression: the last decoded raw run per
-  /// (query, sender, operator) edge, mirroring the sender's dictionary.
-  /// Cleared on kRecoverPrepare (senders reset their half in
-  /// ResetTransientState / OnMembershipChange); per-query entries die with
-  /// DropPlan. A kRaw run always (re)starts an edge, so stale entries are
-  /// overwritten, never trusted.
-  struct WireRunRef {
-    uint64_t run_seq = 0;
-    uint64_t check = 0;
-    std::string raw;
-  };
-  std::map<std::tuple<int, int, int>, WireRunRef> wire_runs_;
 
   // Staged recovery parameters (read inside kRecoverPrepare handling).
   const PartitionMap* staged_pmap_ = nullptr;

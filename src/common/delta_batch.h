@@ -37,20 +37,10 @@
 
 #include "common/delta.h"
 #include "common/hash.h"
-#include "common/status.h"
 #include "common/tuple.h"
 #include "common/value.h"
 
 namespace rex {
-
-class DeltaBatch;
-
-/// Columnar wire encoding (common/serde.cc): schema header, interned
-/// string pool, op/weight vectors, then raw column arrays. Groundwork for
-/// batch-at-a-time network messages; checkpoints and the live wire still
-/// use the per-delta encoding.
-std::string SerializeDeltaBatch(const DeltaBatch& batch);
-Result<DeltaBatch> DeserializeDeltaBatch(const std::string& bytes);
 
 /// Column type in the columnar fast-path domain.
 enum class BatchColType : uint8_t { kInt = 0, kDouble = 1, kString = 2 };
@@ -247,9 +237,6 @@ class DeltaBatch {
   }
 
  private:
-  friend std::string SerializeDeltaBatch(const DeltaBatch& batch);
-  friend Result<DeltaBatch> DeserializeDeltaBatch(const std::string& bytes);
-
   static uint64_t HashDoubleBits(double d) {
     uint64_t bits;
     std::memcpy(&bits, &d, sizeof(bits));

@@ -2,13 +2,13 @@
 // (the `onepass` scheme: O(n) encode time with a fixed-size fingerprint
 // table, plus an in-place reconstruction path).
 //
-// Successive checkpoint epochs and coalesced rehash runs are highly
-// self-similar — DBSP-style ℤ-set streams touch overlapping key ranges
-// epoch after epoch — so each payload is encoded as a binary delta against
-// its predecessor: a Karp-Rabin window (Mersenne prime 2^61−1, base 263)
-// slides over the new payload, matches against fingerprints of the
-// reference payload, and emits COPY(offset, len) ops where the reference
-// already holds the bytes and ADD(literal) ops for novel bytes.
+// Successive checkpoint epochs are highly self-similar — DBSP-style ℤ-set
+// streams touch overlapping key ranges epoch after epoch — so each payload
+// is encoded as a binary delta against its predecessor: a Karp-Rabin
+// window (Mersenne prime 2^61−1, base 263) slides over the new payload,
+// matches against fingerprints of the reference payload, and emits
+// COPY(offset, len) ops where the reference already holds the bytes and
+// ADD(literal) ops for novel bytes.
 //
 // Encoded stream layout (little-endian fixed-width integers):
 //
@@ -33,8 +33,8 @@ namespace rex {
 
 /// Encodes `target` as a differential against `ref`. Always succeeds; when
 /// the payloads share nothing the result is one ADD op (slightly larger
-/// than `target`), so callers keep a byte-profitability gate: ship/store
-/// the delta only if it is strictly smaller than the raw payload.
+/// than `target`), so callers keep a byte-profitability gate: store the
+/// delta only if it is strictly smaller than the raw payload.
 std::string DeltaCodecEncode(const std::string& ref,
                              const std::string& target);
 

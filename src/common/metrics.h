@@ -151,21 +151,22 @@ inline constexpr const char kBatchBatches[] = "exec.batch_batches";
 inline constexpr const char kBatchFallbackRows[] = "exec.batch_fallback_rows";
 inline constexpr const char kCheckpointBytes[] = "recovery.checkpoint_bytes";
 inline constexpr const char kCheckpointTuples[] = "recovery.checkpoint_tuples";
-/// Differential-compression accounting (common/delta_codec.h). Raw = the
-/// serialized payload before the codec ran; stored/compressed = what was
-/// actually kept or shipped after delta-encoding and the profitability
-/// gate (equal to raw when the codec is off or never profitable).
+/// Checkpoint differential compression (common/delta_codec.h). Raw = the
+/// serialized epoch before the codec ran; stored = what was actually kept
+/// after delta-encoding and the profitability gate (equal to raw when the
+/// codec is off or never profitable).
 inline constexpr const char kCheckpointRawBytes[] = "storage.ckpt_raw_bytes";
 inline constexpr const char kCheckpointStoredBytes[] =
     "storage.ckpt_stored_bytes";
+/// Nothing writes this; kept because perfbench/src/harness.cc reads it.
 inline constexpr const char kRunRawBytes[] = "net.run_raw_bytes";
+/// Nothing writes this; kept because perfbench/src/harness.cc reads it.
 inline constexpr const char kRunCompressedBytes[] =
     "net.run_compressed_bytes";
 /// Bytes moved while re-replicating checkpoints after a membership change
 /// (kept separate from the steady-state checkpoint volume).
 inline constexpr const char kRecoveryRefetchBytes[] =
     "recovery.refetch_bytes";
-inline constexpr const char kSpillBytes[] = "storage.spill_bytes";
 /// Per-message dispatch wall time on each worker (Timer).
 inline constexpr const char kDispatchTimer[] = "worker.dispatch";
 inline constexpr const char kMapInputRecords[] = "mr.map_input_records";

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 
-#include "common/delta_batch.h"
 #include "common/logging.h"
 
 namespace rex {
@@ -16,8 +15,8 @@ namespace {
 /// Silent truncation guard: every length in the format is a u32, so a
 /// string or collection larger than UINT32_MAX would serialize a wrapped
 /// count and corrupt the stream undetectably. The writer API is void (it
-/// feeds checkpoint and spill paths that cannot surface a Status), so this
-/// fails loudly instead of writing garbage.
+/// feeds checkpoint paths that cannot surface a Status), so this fails
+/// loudly instead of writing garbage.
 void CheckU32Len(size_t n, const char* what) {
   if (n > std::numeric_limits<uint32_t>::max()) {
     REX_LOG(Error) << "serde: " << what << " of size " << n
@@ -288,165 +287,6 @@ Result<std::vector<Tuple>> DeserializeTuples(const std::string& bytes) {
   }
   if (!r.AtEnd()) return Status::ParseError("trailing bytes after tuples");
   return out;
-}
-
-std::string SerializeDeltas(const DeltaVec& deltas) {
-  BufferWriter w;
-  w.PutU32(static_cast<uint32_t>(deltas.size()));
-  for (const Delta& d : deltas) w.PutDelta(d);
-  return w.TakeBytes();
-}
-
-Result<DeltaVec> DeserializeDeltas(const std::string& bytes) {
-  BufferReader r(bytes);
-  REX_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
-  DeltaVec out;
-  out.reserve(std::min(static_cast<size_t>(n), r.remaining()));
-  for (uint32_t i = 0; i < n; ++i) {
-    REX_ASSIGN_OR_RETURN(Delta d, r.GetDelta());
-    out.push_back(std::move(d));
-  }
-  if (!r.AtEnd()) return Status::ParseError("trailing bytes after deltas");
-  return out;
-}
-
-// ------------------------------------------------- columnar batch serde --
-//
-// Layout (all integers little-endian):
-//   u32 num_rows, u32 num_cols
-//   num_cols × u8 column type (BatchColType)
-//   u32 pool size, then each distinct string (u32 length + bytes) in id
-//     order — interning on read reassigns the same dense ids
-//   num_rows × u8 op
-//   u8 all_unit_weights flag; if 0, num_rows × i64 weight
-//   per column, the raw payload: i64 / double(bits) / u32 string id per row
-
-std::string SerializeDeltaBatch(const DeltaBatch& batch) {
-  BufferWriter w;
-  CheckU32Len(batch.NumRows(), "batch rows");
-  CheckU32Len(batch.NumColumns(), "batch columns");
-  const size_t rows = batch.NumRows();
-  w.PutU32(static_cast<uint32_t>(rows));
-  w.PutU32(static_cast<uint32_t>(batch.NumColumns()));
-  for (const BatchColumn& c : batch.columns_) {
-    w.PutU8(static_cast<uint8_t>(c.type));
-  }
-  const StringPool& pool = batch.pool_;
-  CheckU32Len(pool.size(), "batch string pool");
-  w.PutU32(static_cast<uint32_t>(pool.size()));
-  for (uint32_t id = 0; id < pool.size(); ++id) w.PutString(pool.Get(id));
-  for (DeltaOp op : batch.ops_) w.PutU8(static_cast<uint8_t>(op));
-  bool all_unit = true;
-  for (int64_t weight : batch.weights_) all_unit = all_unit && weight == 1;
-  w.PutU8(all_unit ? 1 : 0);
-  if (!all_unit) {
-    for (int64_t weight : batch.weights_) w.PutI64(weight);
-  }
-  for (const BatchColumn& c : batch.columns_) {
-    switch (c.type) {
-      case BatchColType::kInt:
-        for (int64_t v : c.ints) w.PutI64(v);
-        break;
-      case BatchColType::kDouble:
-        for (double v : c.doubles) w.PutDouble(v);
-        break;
-      case BatchColType::kString:
-        for (uint32_t id : c.str_ids) w.PutU32(id);
-        break;
-    }
-  }
-  return w.TakeBytes();
-}
-
-Result<DeltaBatch> DeserializeDeltaBatch(const std::string& bytes) {
-  BufferReader r(bytes);
-  REX_ASSIGN_OR_RETURN(uint32_t rows, r.GetU32());
-  REX_ASSIGN_OR_RETURN(uint32_t cols, r.GetU32());
-  if (rows == 0 || cols == 0) {
-    // The batch domain requires >= 1 row of arity >= 1 (FromDeltas never
-    // produces an empty batch).
-    return Status::ParseError("batch with zero rows or columns");
-  }
-  DeltaBatch batch;
-  batch.columns_.resize(cols);
-  for (uint32_t c = 0; c < cols; ++c) {
-    REX_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
-    if (tag > static_cast<uint8_t>(BatchColType::kString)) {
-      return Status::TypeError("bad batch column type " + std::to_string(tag));
-    }
-    batch.columns_[c].type = static_cast<BatchColType>(tag);
-    if (batch.columns_[c].type == BatchColType::kString) {
-      batch.string_cols_.push_back(c);
-      batch.row_fields_bytes_ += 5;
-    } else {
-      batch.row_fields_bytes_ += 9;
-    }
-  }
-  REX_ASSIGN_OR_RETURN(uint32_t pool_size, r.GetU32());
-  for (uint32_t id = 0; id < pool_size; ++id) {
-    REX_ASSIGN_OR_RETURN(std::string s, r.GetString());
-    if (batch.pool_.Intern(s) != id) {
-      // A duplicate in the serialized pool would silently remap ids.
-      return Status::ParseError("batch string pool has duplicate entries");
-    }
-  }
-  batch.ops_.reserve(std::min<size_t>(rows, r.remaining()));
-  for (uint32_t i = 0; i < rows; ++i) {
-    REX_ASSIGN_OR_RETURN(uint8_t op, r.GetU8());
-    if (op != static_cast<uint8_t>(DeltaOp::kInsert) &&
-        op != static_cast<uint8_t>(DeltaOp::kDelete) &&
-        op != static_cast<uint8_t>(DeltaOp::kUpdate)) {
-      return Status::ParseError("batch op outside the fast-path domain: " +
-                                std::to_string(op));
-    }
-    batch.ops_.push_back(static_cast<DeltaOp>(op));
-  }
-  REX_ASSIGN_OR_RETURN(uint8_t all_unit, r.GetU8());
-  if (all_unit != 0) {
-    batch.weights_.assign(rows, 1);
-  } else {
-    batch.weights_.reserve(std::min<size_t>(rows, r.remaining()));
-    for (uint32_t i = 0; i < rows; ++i) {
-      REX_ASSIGN_OR_RETURN(int64_t weight, r.GetI64());
-      if (weight == INT64_MIN) {
-        return Status::ParseError("batch weight INT64_MIN is not negatable");
-      }
-      batch.weights_.push_back(weight);
-    }
-  }
-  for (uint32_t c = 0; c < cols; ++c) {
-    BatchColumn& col = batch.columns_[c];
-    switch (col.type) {
-      case BatchColType::kInt:
-        col.ints.reserve(std::min<size_t>(rows, r.remaining()));
-        for (uint32_t i = 0; i < rows; ++i) {
-          REX_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
-          col.ints.push_back(v);
-        }
-        break;
-      case BatchColType::kDouble:
-        col.doubles.reserve(std::min<size_t>(rows, r.remaining()));
-        for (uint32_t i = 0; i < rows; ++i) {
-          REX_ASSIGN_OR_RETURN(double v, r.GetDouble());
-          col.doubles.push_back(v);
-        }
-        break;
-      case BatchColType::kString:
-        col.str_ids.reserve(std::min<size_t>(rows, r.remaining()));
-        for (uint32_t i = 0; i < rows; ++i) {
-          REX_ASSIGN_OR_RETURN(uint32_t id, r.GetU32());
-          if (id >= batch.pool_.size()) {
-            return Status::ParseError("batch string id " + std::to_string(id) +
-                                      " outside pool of " +
-                                      std::to_string(batch.pool_.size()));
-          }
-          col.str_ids.push_back(id);
-        }
-        break;
-    }
-  }
-  if (!r.AtEnd()) return Status::ParseError("trailing bytes after batch");
-  return batch;
 }
 
 }  // namespace rex

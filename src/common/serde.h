@@ -1,9 +1,8 @@
 // Binary serialization for values, tuples, and deltas.
 //
-// Used for spill files, checkpoint replication, and (optionally) to encode
-// network batches so the byte meter reflects true wire sizes. The format is
-// a simple self-describing tag-length encoding; little-endian fixed-width
-// integers.
+// Used for checkpoint replication and the MapReduce baselines' shuffle runs.
+// The format is a simple self-describing tag-length encoding; little-endian
+// fixed-width integers.
 #ifndef REX_COMMON_SERDE_H_
 #define REX_COMMON_SERDE_H_
 
@@ -92,12 +91,6 @@ Result<Delta> DeserializeDelta(const std::string& bytes);
 /// Serializes a vector of tuples with a count prefix.
 std::string SerializeTuples(const std::vector<Tuple>& tuples);
 Result<std::vector<Tuple>> DeserializeTuples(const std::string& bytes);
-
-/// Serializes a delta batch with a count prefix (the wire-run payload the
-/// differential codec compresses; also how network byte metering sees the
-/// true encoded size of a run).
-std::string SerializeDeltas(const DeltaVec& deltas);
-Result<DeltaVec> DeserializeDeltas(const std::string& bytes);
 
 }  // namespace rex
 

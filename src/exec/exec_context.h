@@ -51,23 +51,16 @@ struct EngineConfig {
   /// Cache results of deterministic functions (§5.1).
   bool cache_deterministic_udfs = true;
 
-  /// Memory budget per stateful operator before spilling (0 = always
-  /// spill; large default = never in tests).
-  size_t operator_memory_budget = 256u << 20;
-
   /// Replicate fixpoint Δ sets each stratum (incremental recovery, §4.3).
   bool checkpoint_deltas = true;
 
-  /// Differential compression (common/delta_codec.h) on the two big byte
-  /// paths. `diff_checkpoints` stores each (fixpoint, stratum, owner)
-  /// checkpoint epoch as a binary delta against the owner's previous
-  /// epoch; `diff_wire_runs` delta-encodes large coalesced rehash runs
-  /// against the previous run shipped on the same (sender, receiver)
-  /// edge. Both keep a byte-profitability gate (never store/ship a delta
-  /// bigger than the raw payload) and are bit-identical to the raw paths;
-  /// the knobs exist as kill switches and for the ablation benches.
+  /// Differential compression (common/delta_codec.h) of checkpoints: store
+  /// each (fixpoint, stratum, owner) checkpoint epoch as a binary delta
+  /// against the owner's previous epoch. A byte-profitability gate never
+  /// stores a delta bigger than the raw epoch, and results are
+  /// bit-identical with the knob off; it exists as a kill switch and for
+  /// the ablation benches.
   bool diff_checkpoints = true;
-  bool diff_wire_runs = true;
   /// Force a self-contained keyframe every N epochs on a checkpoint chain
   /// (bounds reconstruction work and the blast radius of a corrupted
   /// mid-chain delta). <= 1 stores every epoch as a keyframe.

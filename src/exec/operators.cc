@@ -2,10 +2,8 @@
 
 #include <chrono>
 
-#include "common/delta_codec.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/serde.h"
 
 namespace rex {
 
@@ -334,19 +332,11 @@ Status RehashOp::Open(ExecContext* ctx) {
     coalesce_bytes_saved_ =
         ctx->metrics->GetCounter(metrics::kCoalesceBytesSaved);
   }
-  wire_diff_ = ctx->config->diff_wire_runs && !params_.broadcast;
-  wire_edges_.clear();
-  run_raw_bytes_ = ctx->metrics->GetCounter(metrics::kRunRawBytes);
-  run_compressed_bytes_ =
-      ctx->metrics->GetCounter(metrics::kRunCompressedBytes);
   return Status::OK();
 }
 
 Status RehashOp::OnMembershipChange() {
   SetExpectedPuncts(1, ctx_->pmap->num_workers());
-  // Receivers drop their edge mirrors across a membership change; restart
-  // every edge with a self-contained kRaw run.
-  wire_edges_.clear();
   return Status::OK();
 }
 
@@ -363,53 +353,9 @@ Status RehashOp::FlushTo(int dest) {
     if (stats.columnar_rows > 0) batch_rows_->Add(stats.columnar_rows);
     if (batch.empty()) return Status::OK();  // fully annihilated
   }
-  if (wire_diff_) return SendWireRun(dest, std::move(batch));
   return ctx_->network->Send(
       Message::Data(ctx_->worker_id, dest, id(), /*port=*/1,
                     std::move(batch)));
-}
-
-namespace {
-/// Runs smaller than this ship as plain deltas: the codec framing plus the
-/// receiver-side decode would cost more than it saves, and tiny runs would
-/// pollute the edge dictionary with unrepresentative bytes.
-constexpr size_t kMinWireRunBytes = 128;
-}  // namespace
-
-Status RehashOp::SendWireRun(int dest, DeltaVec batch) {
-  std::string raw = SerializeDeltas(batch);
-  if (raw.size() < kMinWireRunBytes) {
-    // Below the packing floor; the edge reference is untouched (both sides
-    // skip payload-less messages), so the seq chain stays consistent.
-    return ctx_->network->Send(Message::Data(ctx_->worker_id, dest, id(),
-                                             /*port=*/1, std::move(batch)));
-  }
-  Message m = Message::Data(ctx_->worker_id, dest, id(), /*port=*/1, {});
-  m.wire_tuples = static_cast<int64_t>(batch.size());
-  m.wire_raw_size = static_cast<uint32_t>(raw.size());
-  m.wire_raw_check = HashBytes(raw.data(), raw.size());
-  run_raw_bytes_->Add(static_cast<int64_t>(raw.size()));
-  WireEdge& edge = wire_edges_[dest];
-  if (edge.run_seq > 0) {
-    std::string enc = DeltaCodecEncode(edge.last_raw, raw);
-    if (enc.size() < raw.size()) {  // byte-profitability gate
-      m.wire_codec = Message::WireCodec::kDelta;
-      m.wire_ref_seq = edge.run_seq;
-      m.wire_ref_check = edge.last_check;
-      m.wire_payload = std::move(enc);
-    }
-  }
-  if (m.wire_codec == Message::WireCodec::kNone) {
-    m.wire_codec = Message::WireCodec::kRaw;  // first run, or delta too big
-    m.wire_payload = raw;
-  }
-  edge.run_seq += 1;
-  m.wire_run_seq = edge.run_seq;
-  edge.last_check = m.wire_raw_check;
-  edge.last_raw = std::move(raw);
-  run_compressed_bytes_->Add(static_cast<int64_t>(m.wire_payload.size()) +
-                             static_cast<int64_t>(Message::kWireMetaBytes));
-  return ctx_->network->Send(std::move(m));
 }
 
 Status RehashOp::FlushAll() {
@@ -498,9 +444,6 @@ Status RehashOp::OnPortWaveComplete(int port, const Punctuation& p) {
 Status RehashOp::ResetTransientState() {
   REX_RETURN_NOT_OK(Operator::ResetTransientState());
   for (DeltaVec& buf : pending_) buf.clear();
-  // Recovery resets the receivers' edge mirrors too (kRecoverPrepare);
-  // post-recovery runs restart every edge with a kRaw run.
-  wire_edges_.clear();
   return Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #ifndef REX_EXEC_OPERATORS_H_
 #define REX_EXEC_OPERATORS_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -204,30 +203,10 @@ class RehashOp : public Operator {
   Status RouteHashed(Delta d, uint64_t h);
   Status FlushTo(int dest);
   Status FlushAll();
-  /// Ships a coalesced run as an opaque packed payload (Message::WireCodec),
-  /// delta-encoded against the previous run on this (sender, dest) edge when
-  /// byte-profitable. Runs below the packing floor go out as plain deltas
-  /// without touching the edge reference.
-  Status SendWireRun(int dest, DeltaVec batch);
 
   Params params_;
   std::vector<DeltaVec> pending_;  // per destination worker
   size_t batch_size_ = 1024;
-
-  /// Sender half of wire-run compression (EngineConfig::diff_wire_runs):
-  /// the last raw serialized run per destination, which the next run
-  /// delta-encodes against. Cleared whenever the receiver's mirror state
-  /// may die (recovery reset, membership change), so fresh edges restart
-  /// with a kRaw run.
-  struct WireEdge {
-    uint64_t run_seq = 0;
-    uint64_t last_check = 0;
-    std::string last_raw;
-  };
-  bool wire_diff_ = false;
-  std::map<int, WireEdge> wire_edges_;
-  Counter* run_raw_bytes_ = nullptr;
-  Counter* run_compressed_bytes_ = nullptr;
 
   /// Engaged when EngineConfig::coalesce_deltas is on (and not broadcast):
   /// every FlushTo folds its buffer to the net batch and packs same-key

@@ -5,9 +5,9 @@
 namespace rex {
 
 namespace {
-// Grace period a producer blocks on a full channel before shedding the
-// message to the spill path. Bounded so mutually backpressured workers
-// (A's inbox full of B's batches and vice versa) cannot deadlock.
+// Grace period a producer blocks on a full channel before shedding (enqueueing
+// past capacity). Bounded so mutually backpressured workers (A's inbox full
+// of B's batches and vice versa) cannot deadlock.
 constexpr auto kShedGracePeriod = std::chrono::milliseconds(20);
 }  // namespace
 
@@ -32,8 +32,8 @@ bool Channel::Push(Message msg) {
       });
       if (closed_) return false;
       if (!have_space) {
-        // Shed: enqueue anyway, accounted as spilled-to-disk overload rather
-        // than dropped, so delivery stays reliable under sustained pressure.
+        // Shed: enqueue past capacity and count it rather than drop, so
+        // delivery stays reliable under sustained pressure.
         if (backpressure_sheds_) backpressure_sheds_->Increment();
       }
     }

@@ -5,9 +5,9 @@
 // Channels are optionally bounded: a capacity > 0 enables credit-based flow
 // control where Push blocks while the queue is full (data / punctuation
 // messages only — control traffic must never be throttled). A producer that
-// stays blocked past a bounded grace period sheds the message to the
-// disk-simulated spill path: the message is enqueued anyway and counted so
-// the engine can account for spilled overload instead of deadlocking.
+// stays blocked past a bounded grace period "sheds": it enqueues the message
+// past capacity anyway and counts the overflow, so mutually backpressured
+// workers cannot deadlock. The bound is therefore soft.
 //
 // Channels also carry an incarnation number, bumped on every Reopen. A
 // message stamped for an older incarnation is rejected, so a revived worker

@@ -18,7 +18,6 @@ size_t Message::ByteSize() const {
   // 20-byte header: kind, from, to, op, port.
   size_t n = 20;
   for (const Delta& d : deltas) n += d.ByteSize();
-  if (wire_codec != WireCodec::kNone) n += kWireMetaBytes + wire_payload.size();
   if (kind == Kind::kPunctuation) n += 5;
   return n;
 }

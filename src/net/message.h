@@ -95,31 +95,6 @@ struct Message {
   Punctuation punct;  // kPunctuation payload
   ControlMsg control;  // kControl payload
 
-  /// Wire-run compression (EngineConfig::diff_wire_runs): a large coalesced
-  /// rehash run ships as one opaque serialized payload instead of `deltas` —
-  /// either the raw serialized run (kRaw) or a rolling-hash binary delta
-  /// (common/delta_codec.h) against the previous run on the same
-  /// (sender, receiver, operator) edge (kDelta). Both sides advance the
-  /// edge reference to the decoded raw bytes, so every payload message is
-  /// also the next message's dictionary. `deltas` stays empty in this mode
-  /// (the fault injector's payload shuffles cannot touch packed runs; edge
-  /// integrity is guarded by the checksums below instead).
-  enum class WireCodec : uint8_t {
-    kNone = 0,  // plain `deltas` payload (small runs, broadcasts, control)
-    kRaw = 1,   // payload = serialized run (starts/resets the edge chain)
-    kDelta = 2,  // payload = codec delta against edge run `wire_ref_seq`
-  };
-  WireCodec wire_codec = WireCodec::kNone;
-  std::string wire_payload;
-  uint64_t wire_run_seq = 0;   // 1-based run counter on this edge
-  uint64_t wire_ref_seq = 0;   // kDelta: edge run encoded against
-  uint64_t wire_ref_check = 0;  // kDelta: checksum of that reference run
-  uint64_t wire_raw_check = 0;  // checksum of the decoded raw run
-  uint32_t wire_raw_size = 0;   // decoded size (caps the decoder's output)
-  /// Tuples packed inside `wire_payload`, so Network::Deliver meters
-  /// net.tuples_sent identically with the codec on or off.
-  int64_t wire_tuples = 0;
-
   static Message Data(int from, int to, int op, int port, DeltaVec d) {
     Message m;
     m.kind = Kind::kData;
@@ -159,14 +134,8 @@ struct Message {
     return m;
   }
 
-  /// Approximate wire size: payload plus a fixed header. Packed-run
-  /// messages count the opaque payload plus the codec framing
-  /// (kWireMetaBytes) instead of per-delta sizes.
+  /// Approximate wire size: payload plus a fixed header.
   size_t ByteSize() const;
-
-  /// Serialized codec framing for packed-run messages: mode byte, run/ref
-  /// sequence numbers, two checksums, raw size, tuple count.
-  static constexpr size_t kWireMetaBytes = 29;
 };
 
 }  // namespace rex

@@ -57,8 +57,7 @@ void Network::Deliver(Message msg) {
         .fetch_add(bytes, std::memory_order_relaxed);
     bytes_sent_counter_->Add(bytes);
     messages_sent_counter_->Increment();
-    tuples_sent_counter_->Add(static_cast<int64_t>(msg.deltas.size()) +
-                              msg.wire_tuples);
+    tuples_sent_counter_->Add(static_cast<int64_t>(msg.deltas.size()));
   }
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (!channels_[to]->Push(std::move(msg))) {

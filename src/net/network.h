@@ -165,7 +165,8 @@ inline constexpr const char kHeartbeats[] = "net.heartbeats";
 inline constexpr const char kUnreachable[] = "net.unreachable";
 /// Producers that blocked on a full (bounded) channel.
 inline constexpr const char kBackpressureBlocks[] = "net.backpressure_blocks";
-/// Messages shed to the spill path after the backpressure grace period.
+/// Messages enqueued past a full channel's capacity after the backpressure
+/// grace period.
 inline constexpr const char kBackpressureSheds[] = "net.backpressure_sheds";
 }  // namespace metrics
 

@@ -139,8 +139,6 @@ Json QueryProfile::ToJson() const {
   out.Set("batch_fallback_rows", batch_fallback_rows);
   out.Set("ckpt_raw_bytes", ckpt_raw_bytes);
   out.Set("ckpt_stored_bytes", ckpt_stored_bytes);
-  out.Set("run_raw_bytes", run_raw_bytes);
-  out.Set("run_compressed_bytes", run_compressed_bytes);
   return out;
 }
 
@@ -232,8 +230,6 @@ Status ValidateProfileJson(const Json& profile) {
   REX_RETURN_NOT_OK(RequireInt(profile, "batch_fallback_rows"));
   REX_RETURN_NOT_OK(RequireInt(profile, "ckpt_raw_bytes"));
   REX_RETURN_NOT_OK(RequireInt(profile, "ckpt_stored_bytes"));
-  REX_RETURN_NOT_OK(RequireInt(profile, "run_raw_bytes"));
-  REX_RETURN_NOT_OK(RequireInt(profile, "run_compressed_bytes"));
   return Status::OK();
 }
 

@@ -116,14 +116,11 @@ struct QueryProfile {
   int64_t batch_rows = 0;
   int64_t batch_fallback_rows = 0;
 
-  /// Differential-compression meters (Fig. 11's raw-vs-shipped ablation):
-  /// checkpoint epochs before/after delta-chain encoding, and packed wire
-  /// runs before/after edge-delta encoding. raw == stored/compressed when
-  /// the codec is off or never profitable.
+  /// Differential-compression meters (Fig. 11's raw-vs-stored ablation):
+  /// checkpoint epochs before/after delta-chain encoding. raw == stored
+  /// when the codec is off or never profitable.
   int64_t ckpt_raw_bytes = 0;
   int64_t ckpt_stored_bytes = 0;
-  int64_t run_raw_bytes = 0;
-  int64_t run_compressed_bytes = 0;
 
   Json ToJson() const;
 };

@@ -3,10 +3,7 @@
 #include <sstream>
 #include <utility>
 
-#include "common/delta_codec.h"
-#include "common/hash.h"
 #include "common/logging.h"
-#include "common/serde.h"
 
 namespace rex {
 
@@ -212,36 +209,7 @@ FaultInjector::Action ChaosInjector::OnSend(Message* msg) {
   }
 
   // 2) Message-fate windows. At most one action per message; drop wins.
-  //    Packed wire runs are decoded through the injector's edge mirror
-  //    first so reorder windows can act on their deltas (see the
-  //    wire_mirror_ comment in the header).
-  const bool packed = msg->kind == Message::Kind::kData &&
-                      msg->wire_codec != Message::WireCodec::kNone;
-  const WireEdge edge{msg->from_worker, msg->to_worker, msg->target_op};
-  std::string packed_raw;
-  bool have_packed_raw = false;
-  if (packed) {
-    if (msg->wire_codec == Message::WireCodec::kRaw) {
-      packed_raw = msg->wire_payload;
-      have_packed_raw = true;
-    } else {
-      auto it = wire_mirror_.find(edge);
-      if (it != wire_mirror_.end()) {
-        Result<std::string> r = DeltaCodecDecode(it->second, msg->wire_payload,
-                                                 msg->wire_raw_size);
-        if (r.ok()) {
-          packed_raw = std::move(*r);
-          have_packed_raw = true;
-        }
-      }
-      // Unknown edge (the sender's chain predates this injector) or a
-      // decode failure: the run passes through untouched — it cannot be
-      // reordered and does not advance the mirror.
-    }
-  }
-
   Action action = Action::kDeliver;
-  bool shuffled_packed = false;
   bool decided = false;
   for (size_t i = 0; i < schedule_.events.size() && !decided; ++i) {
     FaultEvent& e = schedule_.events[i];
@@ -250,9 +218,7 @@ FaultInjector::Action ChaosInjector::OnSend(Message* msg) {
     switch (e.kind) {
       case FaultEvent::Kind::kDrop:
         // Only to the doomed node, and only while it is still live (once
-        // it has crashed the network drops for us). A dropped copy never
-        // advances the edge mirror: the sender retransmits this same
-        // message until a later OnSend lets it through.
+        // it has crashed the network drops for us).
         if (msg->to_worker == e.worker && !network_->IsFailed(e.worker) &&
             e.at_stratum == current_stratum_) {
           e.count -= 1;
@@ -271,19 +237,13 @@ FaultInjector::Action ChaosInjector::OnSend(Message* msg) {
       case FaultEvent::Kind::kReorder: {
         if (msg->kind != Message::Kind::kData) break;
         if (e.worker >= 0 && msg->to_worker != e.worker) break;
-        if (packed) {
-          if (!have_packed_raw || msg->wire_tuples < 2) break;
-          if (!ReorderPackedLocked(msg, packed_raw)) break;
-          shuffled_packed = true;
-        } else {
-          if (msg->deltas.size() < 2) break;
-          // Fisher-Yates permutation of the batch: simulates packets of
-          // one message arriving out of order and being reassembled.
-          for (size_t j = msg->deltas.size() - 1; j > 0; --j) {
-            const size_t k = static_cast<size_t>(
-                rng_.NextBelow(static_cast<uint64_t>(j + 1)));
-            std::swap(msg->deltas[j], msg->deltas[k]);
-          }
+        if (msg->deltas.size() < 2) break;
+        // Fisher-Yates permutation of the batch: simulates packets of one
+        // message arriving out of order and being reassembled.
+        for (size_t j = msg->deltas.size() - 1; j > 0; --j) {
+          const size_t k = static_cast<size_t>(
+              rng_.NextBelow(static_cast<uint64_t>(j + 1)));
+          std::swap(msg->deltas[j], msg->deltas[k]);
         }
         e.count -= 1;
         stats_.batches_reordered += 1;
@@ -294,47 +254,7 @@ FaultInjector::Action ChaosInjector::OnSend(Message* msg) {
         break;
     }
   }
-
-  if (packed && have_packed_raw) {
-    if (shuffled_packed) {
-      // The receiver decodes the shuffled bytes into its mirror, which now
-      // diverges from the sender's dictionary; rewrite every delta-coded
-      // run on this edge until a raw run re-syncs the two.
-      reordered_edges_.insert(edge);
-    } else if (msg->wire_codec == Message::WireCodec::kDelta &&
-               reordered_edges_.count(edge) > 0) {
-      // Encoded against a dictionary the receiver no longer holds. Ship
-      // the decoded bytes whole — checksum and size already describe them
-      // — which also re-syncs the receiver's mirror with the sender's.
-      msg->wire_codec = Message::WireCodec::kRaw;
-      msg->wire_payload = packed_raw;
-      msg->wire_ref_seq = 0;
-      msg->wire_ref_check = 0;
-      reordered_edges_.erase(edge);
-    } else if (msg->wire_codec == Message::WireCodec::kRaw) {
-      reordered_edges_.erase(edge);  // a raw run re-syncs the edge anyway
-    }
-    wire_mirror_[edge] = std::move(packed_raw);
-  }
   return action;
-}
-
-bool ChaosInjector::ReorderPackedLocked(Message* msg, const std::string& raw) {
-  Result<DeltaVec> deltas = DeserializeDeltas(raw);
-  if (!deltas.ok() || deltas->size() < 2) return false;
-  for (size_t j = deltas->size() - 1; j > 0; --j) {
-    const size_t k =
-        static_cast<size_t>(rng_.NextBelow(static_cast<uint64_t>(j + 1)));
-    std::swap((*deltas)[j], (*deltas)[k]);
-  }
-  std::string shuffled = SerializeDeltas(*deltas);
-  msg->wire_codec = Message::WireCodec::kRaw;
-  msg->wire_raw_size = static_cast<uint32_t>(shuffled.size());
-  msg->wire_raw_check = HashBytes(shuffled.data(), shuffled.size());
-  msg->wire_payload = std::move(shuffled);
-  msg->wire_ref_seq = 0;
-  msg->wire_ref_check = 0;
-  return true;
 }
 
 }  // namespace rex

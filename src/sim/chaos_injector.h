@@ -14,11 +14,8 @@
 #ifndef REX_SIM_CHAOS_INJECTOR_H_
 #define REX_SIM_CHAOS_INJECTOR_H_
 
-#include <map>
 #include <mutex>
-#include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -93,12 +90,6 @@ class ChaosInjector : public FaultInjector {
   /// the counter), where dropping would silently lose real deltas.
   void DisarmDropsForLocked(int worker);
 
-  /// Shuffles the deltas of a packed wire run (`raw` is its decoded
-  /// payload) and rewrites `msg` as a self-contained raw run carrying the
-  /// shuffled bytes. Returns false (message untouched) when the payload
-  /// does not deserialize to >= 2 deltas.
-  bool ReorderPackedLocked(Message* msg, const std::string& raw);
-
   FaultSchedule schedule_;
   Network* network_;
 
@@ -110,19 +101,6 @@ class ChaosInjector : public FaultInjector {
   int64_t stratum_sends_ = 0;   // non-control sends this stratum
   int64_t recovery_sends_ = 0;  // non-control sends this recovery pass
   ChaosStats stats_;
-
-  /// Packed wire runs (Message::WireCodec) are opaque on the wire, so the
-  /// injector rebuilds the sender-side codec dictionary per (sender,
-  /// receiver, operator) edge from the very traffic it inspects — Send
-  /// keeps per-pair FIFO order, so the mirror always matches what the
-  /// sender encoded against. Reordering a run hands the receiver shuffled
-  /// bytes its own mirror will absorb, diverging it from the sender's
-  /// dictionary; such edges are remembered and every later delta-coded
-  /// run on them is rewritten as a raw run (from the mirror) until the
-  /// sender's next raw run re-syncs both sides.
-  using WireEdge = std::tuple<int, int, int>;  // (from, to, target_op)
-  std::map<WireEdge, std::string> wire_mirror_;
-  std::set<WireEdge> reordered_edges_;
 };
 
 }  // namespace rex

@@ -698,7 +698,6 @@ TEST(ChaosSweepDiffCheckpoint, DiffAndWholeChainsAgreeUnderCrashes) {
 
   EngineConfig whole = ChaosConfig();
   whole.diff_checkpoints = false;
-  whole.diff_wire_runs = false;
   ChaosRun plain = RunSsspChaosWithConfig(schedule, whole);
   ASSERT_TRUE(plain.ok) << plain.error;
   ChaosRun diffed = RunSsspChaosWithConfig(schedule, DiffChainConfig());

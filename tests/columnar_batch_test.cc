@@ -5,8 +5,7 @@
 // hash kernels (including -0.0, NaN, and beyond-2^53 ints), the compiled
 // predicate vs the scalar tree walk, the coalescer's columnar fold vs the
 // scalar fold (output and stats), and a full group-by with
-// EngineConfig::columnar_batches toggled. The serde round-trip covers the
-// columnar wire encoding and its corrupt-input rejection paths.
+// EngineConfig::columnar_batches toggled.
 //
 // Also the data-plane bugfix regressions riding in the same change:
 //   - AvgFunction tracks an exact int64 sum for all-int groups (the double
@@ -35,7 +34,6 @@
 #include "common/delta_batch.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/serde.h"
 #include "data/generators.h"
 #include "exec/coalesce.h"
 #include "exec/expr.h"
@@ -576,78 +574,6 @@ TEST(GroupByColumnarTest, StringKeysAndGlobalGroupMatchScalar) {
   // Empty key = one global group (the bare-seed hash special case).
   EXPECT_EQ(RunGroupByWave(stream, false, {}, 1),
             RunGroupByWave(stream, true, {}, 1));
-}
-
-// ------------------------------------------------------- columnar wire --
-
-TEST(SerdeBatchTest, RoundTripsThroughTheColumnarEncoding) {
-  Rng rng(0x5E4DE);
-  for (int trial = 0; trial < 30; ++trial) {
-    const auto schema = RandomSchema(&rng);
-    const DeltaVec in = RandomBatchStream(&rng, schema, 1 + rng.NextBelow(40));
-    auto batch = DeltaBatch::FromDeltas(in);
-    ASSERT_TRUE(batch.has_value());
-    const std::string bytes = SerializeDeltaBatch(*batch);
-    auto back = DeserializeDeltaBatch(bytes);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(back->ToDeltas(), in) << "trial " << trial;
-    EXPECT_EQ(back->ColumnTypes(), batch->ColumnTypes());
-    // Re-encoding is stable (canonical form).
-    EXPECT_EQ(SerializeDeltaBatch(*back), bytes);
-  }
-}
-
-TEST(SerdeBatchTest, RejectsCorruptEncodings) {
-  auto batch = DeltaBatch::FromDeltas(
-      {Delta::Insert(Tuple{Value(static_cast<int64_t>(1)), Value("x")}),
-       Delta::Delete(Tuple{Value(static_cast<int64_t>(2)), Value("y")})});
-  ASSERT_TRUE(batch.has_value());
-  const std::string good = SerializeDeltaBatch(*batch);
-  ASSERT_TRUE(DeserializeDeltaBatch(good).ok());
-  // Truncations at every prefix length must error, never crash.
-  for (size_t len = 0; len < good.size(); ++len) {
-    EXPECT_FALSE(DeserializeDeltaBatch(good.substr(0, len)).ok())
-        << "prefix " << len;
-  }
-  // Trailing garbage.
-  EXPECT_FALSE(DeserializeDeltaBatch(good + "!").ok());
-  // Zero rows / zero columns.
-  {
-    std::string z(good);
-    z[0] = z[1] = z[2] = z[3] = '\0';
-    EXPECT_FALSE(DeserializeDeltaBatch(z).ok());
-  }
-  // Bad column type tag (first byte after the two u32 header fields).
-  {
-    std::string bad(good);
-    bad[8] = '\x7f';
-    EXPECT_FALSE(DeserializeDeltaBatch(bad).ok());
-  }
-  // Op byte outside the fast-path domain. The ops sit right after the
-  // string pool; locate the first one by diffing against an encoding
-  // whose first op differs, then patch it to kReplace / garbage.
-  {
-    DeltaVec flipped = batch->ToDeltas();
-    flipped[0].op = DeltaOp::kUpdate;
-    auto flipped_batch = DeltaBatch::FromDeltas(flipped);
-    ASSERT_TRUE(flipped_batch.has_value());
-    const std::string other = SerializeDeltaBatch(*flipped_batch);
-    ASSERT_EQ(other.size(), good.size());
-    size_t op_pos = std::string::npos;
-    for (size_t i = 0; i < good.size(); ++i) {
-      if (good[i] != other[i]) {
-        op_pos = i;
-        break;
-      }
-    }
-    ASSERT_NE(op_pos, std::string::npos);
-    std::string bad(good);
-    bad[op_pos] = static_cast<char>(DeltaOp::kReplace);
-    auto res = DeserializeDeltaBatch(bad);
-    ASSERT_FALSE(res.ok());
-    bad[op_pos] = '\x09';
-    EXPECT_FALSE(DeserializeDeltaBatch(bad).ok());
-  }
 }
 
 // ------------------------------------------------- bugfix regressions --

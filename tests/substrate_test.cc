@@ -1,6 +1,5 @@
 // Substrate unit tests: channels, the network's quiescence accounting and
-// failure semantics, spill buffers, the flat map, TupleSet, and
-// expressions.
+// failure semantics, the flat map, TupleSet, and expressions.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -11,7 +10,6 @@
 #include "exec/expr.h"
 #include "exec/tuple_set.h"
 #include "net/network.h"
-#include "storage/spill.h"
 
 namespace rex {
 namespace {
@@ -191,42 +189,6 @@ TEST(TupleSetTest, KeyValueConvenience) {
   EXPECT_EQ(s.size(), 1u);
   EXPECT_NE(s.Find(Value(5)), nullptr);
   EXPECT_EQ(s.Find(Value(6)), nullptr);
-}
-
-// ----------------------------------------------------------------- Spill --
-
-TEST(SpillTest, RoundTripsAcrossDisk) {
-  SpillableTupleBuffer buf(/*memory_budget_bytes=*/64);  // spill quickly
-  std::vector<Tuple> expected;
-  for (int64_t i = 0; i < 200; ++i) {
-    Tuple t{Value(i), Value(static_cast<double>(i) / 3), Value("row")};
-    expected.push_back(t);
-    ASSERT_TRUE(buf.Append(std::move(t)).ok());
-  }
-  EXPECT_TRUE(buf.spilled());
-  EXPECT_GT(buf.spilled_bytes(), 0);
-  EXPECT_EQ(buf.num_tuples(), 200u);
-  auto back = buf.ToVector();
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back->size(), 200u);
-  // Spilled runs come first, then memory — order within runs preserved.
-  std::sort(back->begin(), back->end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(*back, expected);
-  buf.Clear();
-  EXPECT_EQ(buf.num_tuples(), 0u);
-  EXPECT_FALSE(buf.spilled());
-}
-
-TEST(SpillTest, PureMemoryPath) {
-  SpillableTupleBuffer buf(1 << 20);
-  for (int64_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(buf.Append(Tuple{Value(i)}).ok());
-  }
-  EXPECT_FALSE(buf.spilled());
-  auto back = buf.ToVector();
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->size(), 50u);
 }
 
 // ------------------------------------------------------------------ Expr --
