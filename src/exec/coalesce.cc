@@ -46,6 +46,14 @@ struct KeyState {
   std::vector<int> dups;
 };
 
+/// Tuple::field does not bounds-check, so every key projection is guarded.
+bool KeyFieldsInRange(const Tuple& t, const std::vector<int>& key_fields) {
+  for (int kf : key_fields) {
+    if (kf < 0 || static_cast<size_t>(kf) >= t.size()) return false;
+  }
+  return true;
+}
+
 size_t TotalBytes(const DeltaVec& v) {
   size_t bytes = 0;
   for (const Delta& d : v) bytes += d.ByteSize();
@@ -138,6 +146,55 @@ struct ColKeyState {
   std::vector<ColNetTerm> net;
   int slot = -1;
 };
+
+/// True when the fold is the identity on `in` (see coalesce.h): every
+/// delta is +()/-()/δ() with weight > 0 and an empty old tuple, every key
+/// field is in range, and no key repeats.
+bool IsFoldFree(const DeltaVec& in, const std::vector<int>& keys) {
+  // Open addressing over a power-of-two table at least twice the stream,
+  // so linear probes stay short. A slot holds a key hash and 1 + the index
+  // of the delta whose key claimed it (0 = empty).
+  struct Slot {
+    uint64_t hash = 0;
+    size_t row_plus_one = 0;
+  };
+  size_t capacity = 8;
+  while (capacity < 2 * in.size()) capacity <<= 1;
+  std::vector<Slot> table(capacity);
+  const size_t mask = capacity - 1;
+  auto same_key = [&keys](const Tuple& a, const Tuple& b) {
+    if (keys.empty()) return a == b;
+    for (int k : keys) {
+      const size_t f = static_cast<size_t>(k);
+      if (!(a.field(f) == b.field(f))) return false;
+    }
+    return true;
+  };
+  for (size_t i = 0; i < in.size(); ++i) {
+    const Delta& d = in[i];
+    // A replace splits into two net terms and a kBatch is already packed;
+    // the fold drops or re-signs weights <= 0 (and rejects INT64_MIN), and
+    // it does not render an old tuple back onto a +()/-().
+    if (d.op == DeltaOp::kReplace || d.op == DeltaOp::kBatch ||
+        d.weight <= 0 || !d.old_tuple.empty()) {
+      return false;
+    }
+    if (!KeyFieldsInRange(d.tuple, keys)) return false;
+    const uint64_t h = keys.empty() ? d.tuple.Hash() : d.tuple.HashFields(keys);
+    for (size_t s = h & mask;; s = (s + 1) & mask) {
+      Slot& slot = table[s];
+      if (slot.row_plus_one == 0) {
+        slot = Slot{h, i + 1};
+        break;
+      }
+      if (slot.hash == h &&
+          same_key(in[slot.row_plus_one - 1].tuple, d.tuple)) {
+        return false;  // a repeated key: the fold may change the stream
+      }
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -341,6 +398,13 @@ std::optional<Result<DeltaVec>> DeltaCoalescer::TryColumnar(
 
 Result<DeltaVec> DeltaCoalescer::Coalesce(DeltaVec in,
                                           CoalesceStats* stats) const {
+  if (IsFoldFree(in, options_.key_fields)) {
+    if (stats != nullptr) {
+      stats->deltas_in += static_cast<int64_t>(in.size());
+      stats->deltas_out += static_cast<int64_t>(in.size());
+    }
+    return in;
+  }
   if (options_.columnar) {
     auto fast = TryColumnar(in, stats);
     if (fast.has_value()) return std::move(*fast);
@@ -384,6 +448,11 @@ Result<DeltaVec> DeltaCoalescer::Coalesce(DeltaVec in,
     if (d.weight == INT64_MIN) {
       return Status::InvalidArgument(
           "delta weight INT64_MIN is not negatable: " + d.ToString());
+    }
+    if (!KeyFieldsInRange(d.tuple, options_.key_fields)) {
+      // No key to fold under: ships as-is, as PackRuns leaves it.
+      entries.push_back(Entry{std::move(d), true, -1});
+      continue;
     }
     const int ks_idx = state_index_of(key_of(d));
     KeyState& ks = key_states[static_cast<size_t>(ks_idx)];
@@ -484,14 +553,9 @@ DeltaVec DeltaCoalescer::PackRuns(DeltaVec in) const {
 
   for (size_t i = 0; i < in.size(); ++i) {
     const Delta& d = in[i];
-    bool in_range = true;
-    for (int kf : options_.key_fields) {
-      if (kf < 0 || static_cast<size_t>(kf) >= d.tuple.size()) {
-        in_range = false;
-        break;
-      }
+    if (!KeyFieldsInRange(d.tuple, options_.key_fields)) {
+      continue;  // never packed, never grouped
     }
-    if (!in_range) continue;  // never packed, never grouped
     Tuple key = d.tuple.Project(options_.key_fields);
     auto& chain = groups[key.Hash()];
     KeyGroup* g = nullptr;
@@ -620,11 +684,30 @@ Result<DeltaVec> DeltaCoalescer::Expand(DeltaVec in) {
       return Status::DataLoss("batch delta with non-insert/update op");
     }
     const DeltaOp elem_op = static_cast<DeltaOp>(op_int);
-    const size_t arity = static_cast<size_t>(arity_int);
     const size_t num_keys = header.size() - 2;
-    if (arity <= num_keys || d.tuple.size() != num_keys + 1) {
+    if (d.tuple.size() != num_keys + 1) {
       return Status::DataLoss("batch delta shape mismatch");
     }
+    const Value& payload_field = d.tuple.field(num_keys);
+    if (payload_field.type() != ValueType::kList) {
+      return Status::DataLoss("batch delta payload is not a list");
+    }
+    // The arity sizes the buffers below, so bound it by what the header and
+    // payload describe before allocating: a flat payload carries exactly
+    // one non-key field, a nested one as many as its first element holds.
+    const std::vector<Value>& payload = payload_field.AsList();
+    const int64_t flat_arity = static_cast<int64_t>(num_keys) + 1;
+    bool arity_ok = arity_int == flat_arity;
+    if (!arity_ok && !payload.empty() &&
+        payload[0].type() == ValueType::kList) {
+      const int64_t nested_arity =
+          static_cast<int64_t>(num_keys + payload[0].AsList().size());
+      arity_ok = arity_int > flat_arity && arity_int == nested_arity;
+    }
+    if (!arity_ok) {
+      return Status::DataLoss("batch delta arity does not match its payload");
+    }
+    const size_t arity = static_cast<size_t>(arity_int);
     std::vector<size_t> key_pos(num_keys);
     std::vector<bool> is_key(arity, false);
     for (size_t k = 0; k < num_keys; ++k) {
@@ -641,12 +724,8 @@ Result<DeltaVec> DeltaCoalescer::Expand(DeltaVec in) {
     for (size_t f = 0; f < arity; ++f) {
       if (!is_key[f]) payload_pos.push_back(f);
     }
-    const Value& payload_field = d.tuple.field(num_keys);
-    if (payload_field.type() != ValueType::kList) {
-      return Status::DataLoss("batch delta payload is not a list");
-    }
     const bool flat = (payload_pos.size() == 1);
-    for (const Value& elem : payload_field.AsList()) {
+    for (const Value& elem : payload) {
       std::vector<Value> fields(arity);
       for (size_t k = 0; k < num_keys; ++k) {
         fields[key_pos[k]] = d.tuple.field(k);

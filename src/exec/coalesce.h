@@ -38,6 +38,13 @@
 //     sequence; only the cross-key interleave changes, which no per-group
 //     fold observes. The receiving RehashOp expands before pushing
 //     downstream, so kBatch never reaches another operator.
+//
+// Fold-free streams skip all three. When every delta is a +()/-()/δ() of
+// positive weight with no old tuple and no two deltas share a key, each
+// key's net is its single delta rendered as itself, no same-key run exists
+// to pack and no repeat exists to dedupe: the fold is the identity (DBSP:
+// consolidating a ℤ-set whose keys are distinct changes nothing). One
+// hashing pass proves it and the stream is returned untouched.
 #ifndef REX_EXEC_COALESCE_H_
 #define REX_EXEC_COALESCE_H_
 

@@ -52,6 +52,7 @@ Status FixpointOp::Open(ExecContext* ctx) {
     REX_ASSIGN_OR_RETURN(handler_,
                          ctx->udfs->GetWhileHandler(params_.while_handler));
   }
+  delta_tuples_ = ctx->metrics->GetCounter(metrics::kDeltaTuples);
   coalescer_.reset();
   if (ctx->config->coalesce_deltas && params_.mode == Mode::kDelta) {
     CoalesceOptions opts;
@@ -267,8 +268,7 @@ Status FixpointOp::StartStratum(int stratum) {
   }
   // Counted after coalescing: the per-stratum Δ cardinality the Figure 3 /
   // Figure 12 reproductions report is the net set actually propagated.
-  ctx_->metrics->GetCounter(metrics::kDeltaTuples)
-      ->Add(static_cast<int64_t>(flush.size()));
+  delta_tuples_->Add(static_cast<int64_t>(flush.size()));
   REX_RETURN_NOT_OK(Emit(std::move(flush)));
   Punctuation p;
   p.kind = Punctuation::Kind::kEndOfStratum;

@@ -168,6 +168,8 @@ class FixpointOp : public Operator {
   Counter* coalesce_bytes_saved_ = nullptr;
   /// Rows the coalescer's columnar fold handled (exec.batch_rows).
   Counter* batch_rows_ = nullptr;
+  /// Net Δ tuples flushed per stratum (exec.delta_tuples).
+  Counter* delta_tuples_ = nullptr;
 
   VoteStats stats_;  // current stratum
 };

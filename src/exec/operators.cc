@@ -171,6 +171,8 @@ Status ApplyFnOp::Open(ExecContext* ctx) {
   udf_calls_ = ctx->metrics->GetCounter("udf." + fn_name_ + ".calls");
   udf_in_ = ctx->metrics->GetCounter("udf." + fn_name_ + ".in");
   udf_out_ = ctx->metrics->GetCounter("udf." + fn_name_ + ".out");
+  total_udf_calls_ = ctx->metrics->GetCounter(metrics::kUdfCalls);
+  udf_cache_hits_ = ctx->metrics->GetCounter(metrics::kUdfCacheHits);
   return Status::OK();
 }
 
@@ -188,7 +190,7 @@ void BurnInvokeOverhead(int units) {
 }  // namespace
 
 Result<DeltaVec> ApplyFnOp::Invoke(const DeltaVec& batch) {
-  ctx_->metrics->GetCounter(metrics::kUdfCalls)->Increment();
+  total_udf_calls_->Increment();
   BurnInvokeOverhead(ctx_->config->udf_invoke_overhead);
   const auto start = std::chrono::steady_clock::now();
   DeltaVec out;
@@ -238,7 +240,7 @@ Status ApplyFnOp::FlushBatch() {
       }
     }
     if (hit != nullptr) {
-      ctx_->metrics->GetCounter(metrics::kUdfCacheHits)->Increment();
+      udf_cache_hits_->Increment();
       for (const Delta& o : hit->outputs) out.push_back(o);
     } else {
       miss_hashes.push_back(h);
@@ -247,7 +249,7 @@ Status ApplyFnOp::FlushBatch() {
   }
   if (!misses.empty()) {
     // Invoke per miss so each input's outputs can be cached individually.
-    ctx_->metrics->GetCounter(metrics::kUdfCalls)->Increment();
+    total_udf_calls_->Increment();
     BurnInvokeOverhead(ctx_->config->udf_invoke_overhead);
     for (size_t i = 0; i < misses.size(); ++i) {
       REX_ASSIGN_OR_RETURN(DeltaVec result, fn_->fn(misses[i]));
@@ -365,12 +367,11 @@ Status RehashOp::FlushAll() {
   return Status::OK();
 }
 
-Status RehashOp::Route(Delta d) {
+Status RehashOp::Route(Delta d, DeltaVec* local) {
   if (params_.broadcast) {
     for (int w : ctx_->pmap->workers()) {
       if (w == ctx_->worker_id) {
-        DeltaVec self{d};
-        REX_RETURN_NOT_OK(Emit(std::move(self)));
+        local->push_back(d);
       } else {
         pending_[static_cast<size_t>(w)].push_back(d);
         if (pending_[static_cast<size_t>(w)].size() >= batch_size_) {
@@ -381,14 +382,14 @@ Status RehashOp::Route(Delta d) {
     return Status::OK();
   }
   const uint64_t h = PartitionHash(d.tuple, params_.key_fields);
-  return RouteHashed(std::move(d), h);
+  return RouteHashed(std::move(d), h, local);
 }
 
-Status RehashOp::RouteHashed(Delta d, uint64_t h) {
+Status RehashOp::RouteHashed(Delta d, uint64_t h, DeltaVec* local) {
   const int dest = ctx_->pmap->PrimaryOwner(h);
   if (dest == ctx_->worker_id) {
-    DeltaVec self{std::move(d)};
-    return Emit(std::move(self));
+    local->push_back(std::move(d));
+    return Status::OK();
   }
   auto& buf = pending_[static_cast<size_t>(dest)];
   buf.push_back(std::move(d));
@@ -404,23 +405,29 @@ Status RehashOp::ConsumeDeltas(int port, DeltaVec deltas) {
     return Emit(std::move(deltas));
   }
   tuples_processed_->Add(static_cast<int64_t>(deltas.size()));
+  std::vector<uint64_t> hashes;  // filled when the batch hashes columnar
   if (columnar_ && !params_.broadcast && !params_.key_fields.empty() &&
       !deltas.empty()) {
     auto batch = DeltaBatch::FromDeltas(deltas);
     if (batch.has_value() && batch->KeyFieldsInRange(params_.key_fields)) {
       batch_rows_->Add(static_cast<int64_t>(deltas.size()));
       batch_batches_->Increment();
-      std::vector<uint64_t> hashes;
       PartitionHashRows(*batch, params_.key_fields, &hashes);
-      for (size_t i = 0; i < deltas.size(); ++i) {
-        REX_RETURN_NOT_OK(RouteHashed(std::move(deltas[i]), hashes[i]));
-      }
-      return Status::OK();
+    } else {
+      batch_fallback_rows_->Add(static_cast<int64_t>(deltas.size()));
     }
-    batch_fallback_rows_->Add(static_cast<int64_t>(deltas.size()));
   }
-  for (Delta& d : deltas) REX_RETURN_NOT_OK(Route(std::move(d)));
-  return Status::OK();
+  // Rows this worker owns go downstream as one batch at the end of the
+  // call, uncoalesced and in input order. They are not held for FlushAll:
+  // a recovery reload emits data with no punctuation behind it.
+  DeltaVec local;
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    REX_RETURN_NOT_OK(
+        hashes.empty()
+            ? Route(std::move(deltas[i]), &local)
+            : RouteHashed(std::move(deltas[i]), hashes[i], &local));
+  }
+  return Emit(std::move(local));
 }
 
 Status RehashOp::OnPortWaveComplete(int port, const Punctuation& p) {

@@ -131,6 +131,9 @@ class ApplyFnOp : public Operator {
   Counter* udf_calls_ = nullptr;
   Counter* udf_in_ = nullptr;
   Counter* udf_out_ = nullptr;
+  // Engine-wide totals (exec.udf_calls / exec.udf_cache_hits).
+  Counter* total_udf_calls_ = nullptr;
+  Counter* udf_cache_hits_ = nullptr;
 
   bool cache_enabled_ = false;
   struct CacheEntry {
@@ -197,10 +200,12 @@ class RehashOp : public Operator {
   Status OnPortWaveComplete(int port, const Punctuation& p) override;
 
  private:
-  Status Route(Delta d);
+  /// Routes one delta: rows for other workers join their pending buffer,
+  /// rows this worker owns are appended to `local`.
+  Status Route(Delta d, DeltaVec* local);
   /// Routing tail shared by the scalar and columnar paths: `h` is the
   /// delta's PartitionHash.
-  Status RouteHashed(Delta d, uint64_t h);
+  Status RouteHashed(Delta d, uint64_t h, DeltaVec* local);
   Status FlushTo(int dest);
   Status FlushAll();
 

@@ -448,6 +448,67 @@ TEST(ClusterTest, EveryDataMessageCarriesItsPayloadInDeltas) {
   EXPECT_EQ(seen.cross_worker_tuples, run->profile.tuples_sent);
 }
 
+TEST(ClusterTest, RehashDeliversItsLocalShareAsOneBatchPerInput) {
+  // A rehash hands the rows its own worker owns downstream once per input
+  // batch, not one row at a time: the group-by it feeds consumes at most
+  // one batch per batch the rehash consumed on either port.
+  GraphGenOptions opt;
+  opt.num_vertices = 400;
+  opt.num_edges = 2400;
+  opt.seed = 11;
+  GraphData graph = GenerateRmatGraph(opt);
+  EngineConfig cfg4;
+  cfg4.num_workers = 4;
+  cfg4.replication = 3;
+  Cluster cluster(cfg4);
+  ASSERT_TRUE(LoadGraphTables(&cluster, graph).ok());
+  PageRankConfig cfg;
+  cfg.threshold = 1e-7;
+  ASSERT_TRUE(RegisterPageRankUdfs(cluster.udfs(), cfg).ok());
+  auto plan = BuildPageRankDeltaPlan(cfg);
+  ASSERT_TRUE(plan.ok());
+
+  int rehash = -1;
+  int group_by = -1;
+  for (const PlanNodeSpec& node : plan->nodes()) {
+    if (node.type == PlanNodeSpec::Type::kRehash) rehash = node.id;
+  }
+  for (const PlanNodeSpec& node : plan->nodes()) {
+    if (node.type == PlanNodeSpec::Type::kGroupBy && !node.inputs.empty() &&
+        node.inputs[0].from == rehash) {
+      group_by = node.id;
+    }
+  }
+  ASSERT_GE(rehash, 0);
+  ASSERT_GE(group_by, 0);
+
+  auto run = cluster.Run(*plan);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto port_batches = [](const OperatorProfile& op, size_t port) {
+    return op.ports.size() > port ? op.ports[port].batches : int64_t{0};
+  };
+  int workers_checked = 0;
+  for (const OperatorProfile& gb : run->profile.operators) {
+    if (gb.op_id != group_by) continue;
+    for (const OperatorProfile& rh : run->profile.operators) {
+      if (rh.op_id != rehash || rh.worker != gb.worker) continue;
+      const int64_t rehash_inputs = port_batches(rh, 0) + port_batches(rh, 1);
+      EXPECT_GT(port_batches(gb, 0), 0) << "worker " << gb.worker;
+      EXPECT_LE(port_batches(gb, 0), rehash_inputs) << "worker " << gb.worker;
+      ++workers_checked;
+    }
+  }
+  EXPECT_EQ(workers_checked, 4);
+
+  auto ranks = RanksFromState(run->fixpoint_state, graph.num_vertices);
+  ASSERT_TRUE(ranks.ok()) << ranks.status().ToString();
+  const std::vector<double> ref = ReferencePageRank(graph, 0.85, 1e-12, 500);
+  ASSERT_EQ(ranks->size(), ref.size());
+  for (size_t v = 0; v < ref.size(); ++v) {
+    EXPECT_NEAR((*ranks)[v], ref[v], 1e-4) << "vertex " << v;
+  }
+}
+
 TEST(ClusterTest, MultiFailureLiveWorkersAfterPartialRestore) {
   // Two crashes and one restore within a single query: LiveWorkers()
   // reflects exactly the final membership, and the revived node's inbox

@@ -12,12 +12,15 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algos/pagerank.h"
 #include "algos/reference.h"
 #include "algos/sssp.h"
+#include "common/rng.h"
 #include "common/serde.h"
 #include "exec/coalesce.h"
 #include "sim/fault_schedule.h"
@@ -206,6 +209,138 @@ TEST(DeltaCoalescerTest, DedupeIgnoresAnnihilatedInserts) {
   EXPECT_EQ(out[0], I(1, 10));
 }
 
+// -------------------------------------------------------- fold-free check --
+
+/// Every {columnar, pack_runs, dedupe_idempotent} combination over `keys`.
+std::vector<CoalesceOptions> AllOptionCombos(const std::vector<int>& keys) {
+  std::vector<CoalesceOptions> combos;
+  for (int bits = 0; bits < 8; ++bits) {
+    CoalesceOptions opts;
+    opts.key_fields = keys;
+    opts.columnar = (bits & 1) != 0;
+    opts.pack_runs = (bits & 2) != 0;
+    opts.dedupe_idempotent = (bits & 4) != 0;
+    combos.push_back(opts);
+  }
+  return combos;
+}
+
+std::string ComboName(const CoalesceOptions& opts) {
+  return std::string(" [columnar=") + (opts.columnar ? "1" : "0") +
+         " pack=" + (opts.pack_runs ? "1" : "0") +
+         " dedupe=" + (opts.dedupe_idempotent ? "1" : "0") + "]";
+}
+
+int64_t Bytes(const DeltaVec& v) {
+  int64_t bytes = 0;
+  for (const Delta& d : v) bytes += static_cast<int64_t>(d.ByteSize());
+  return bytes;
+}
+
+/// A stream no key repeats in, of deltas with weights 1-3: a mix of
+/// +()/-()/δ(), or only +()/-(), or only δ() (the last two are the shapes
+/// the columnar fold accepts). Keyed streams (key = field 0) draw distinct
+/// int or string keys; keyless streams draw distinct whole tuples, so
+/// field 0 alone may repeat.
+DeltaVec RandomFoldFreeStream(Rng* rng, bool keyed) {
+  static constexpr DeltaOp kOps[] = {DeltaOp::kInsert, DeltaOp::kDelete,
+                                     DeltaOp::kUpdate};
+  const uint64_t mix = rng->NextBelow(3);
+  const uint64_t first_op = mix == 2 ? 2 : 0;
+  const uint64_t num_ops = mix == 0 ? 3 : mix == 1 ? 2 : 1;
+  const uint64_t n = 1 + rng->NextBelow(200);
+  const bool string_keys = rng->NextBelow(2) == 0;
+  std::set<std::pair<uint64_t, uint64_t>> used;
+  DeltaVec out;
+  while (out.size() < n) {
+    const uint64_t k = rng->NextBelow(keyed ? 4 * n : 8);
+    const uint64_t v = rng->NextBelow(keyed ? 5 : 4 * n);
+    if (!used.insert({k, keyed ? 0 : v}).second) continue;
+    Value key = string_keys ? Value("k" + std::to_string(k))
+                            : Value(static_cast<int64_t>(k));
+    Delta d;
+    d.op = kOps[first_op + rng->NextBelow(num_ops)];
+    d.tuple = Tuple{std::move(key), Value(static_cast<int64_t>(v))};
+    d.weight = 1 + static_cast<int64_t>(rng->NextBelow(3));
+    out.push_back(std::move(d));
+  }
+  return out;
+}
+
+TEST(DeltaCoalescerTest, FoldFreeStreamsComeBackUntouched) {
+  Rng rng(0xF01DF4EE);
+  for (int trial = 0; trial < 40; ++trial) {
+    const bool keyed = trial % 2 == 0;
+    const DeltaVec in = RandomFoldFreeStream(&rng, keyed);
+    const auto n = static_cast<int64_t>(in.size());
+    const std::vector<int> keys =
+        keyed ? std::vector<int>{0} : std::vector<int>{};
+    for (const CoalesceOptions& opts : AllOptionCombos(keys)) {
+      CoalesceStats stats;
+      auto out = DeltaCoalescer(opts).Coalesce(in, &stats);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(*out, in) << "trial " << trial << ComboName(opts);
+      EXPECT_EQ(stats.folded, 0);
+      EXPECT_EQ(stats.bytes_saved, 0);
+      EXPECT_EQ(stats.deltas_in, n);
+      EXPECT_EQ(stats.deltas_out, n);
+      // The check is the only work done: no columnar fold ran.
+      EXPECT_EQ(stats.columnar_rows, 0);
+    }
+  }
+}
+
+TEST(DeltaCoalescerTest, FoldFreeCheckFallsThroughToTheFold) {
+  // One disqualifying delta in an otherwise fold-free stream sends the
+  // whole stream through the fold, whose output each case pins.
+  struct Case {
+    const char* name;
+    DeltaVec in;
+    DeltaVec expect;
+  };
+  const std::vector<Case> cases = {
+      // Key 1's second term renders at the key's first position.
+      {"repeated key",
+       {I(1, 10), I(2, 20), I(1, 11)},
+       {I(1, 10), I(1, 11), I(2, 20)}},
+      {"weight 0", {I(1, 10), W(2, 20, 0), I(3, 30)}, {I(1, 10), I(3, 30)}},
+      {"negative-weight insert",
+       {I(1, 10), W(2, 20, -2)},
+       {I(1, 10),
+        Delta{DeltaOp::kDelete, Tuple{Value(int64_t{2}), Value(int64_t{20})},
+              {}, 2}}},
+      // ->(t -> t) nets to nothing.
+      {"replace", {I(2, 20), R(1, 10, 10)}, {I(2, 20)}},
+  };
+  for (const Case& c : cases) {
+    for (const CoalesceOptions& opts : AllOptionCombos({0})) {
+      CoalesceStats stats;
+      auto out = DeltaCoalescer(opts).Coalesce(c.in, &stats);
+      ASSERT_TRUE(out.ok()) << c.name << ": " << out.status().ToString();
+      EXPECT_EQ(*out, c.expect) << c.name << ComboName(opts);
+      EXPECT_EQ(stats.deltas_in, static_cast<int64_t>(c.in.size()));
+      EXPECT_EQ(stats.deltas_out, static_cast<int64_t>(c.expect.size()));
+      EXPECT_EQ(stats.folded,
+                static_cast<int64_t>(c.in.size() - c.expect.size()));
+      EXPECT_EQ(stats.bytes_saved, Bytes(c.in) - Bytes(c.expect));
+    }
+  }
+}
+
+TEST(DeltaCoalescerTest, DeltaMissingItsKeyFieldShipsUnfolded) {
+  // Keyed on field 1, a one-field tuple has no key to fold under: it ships
+  // as-is while the in-range pair around it still annihilates.
+  const Delta short_tuple = Delta::Insert(Tuple{Value(int64_t{7})});
+  for (const CoalesceOptions& opts : AllOptionCombos({1})) {
+    CoalesceStats stats;
+    auto out = DeltaCoalescer(opts).Coalesce(
+        {I(1, 10), short_tuple, D(1, 10)}, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(*out, DeltaVec{short_tuple}) << ComboName(opts);
+    EXPECT_EQ(stats.folded, 2);
+  }
+}
+
 // ---------------------------------------------------------------- packing --
 
 /// Per-key subsequence of a stream (order within the key preserved).
@@ -319,6 +454,26 @@ TEST(DeltaPackingTest, ExpandRejectsCorruptBatch) {
   short_header.old_tuple = Tuple{Value(int64_t{3})};
   expanded = DeltaCoalescer::Expand({short_header});
   EXPECT_FALSE(expanded.ok());
+
+  // Hostile arities must fail before any buffer is sized from them, for a
+  // flat and for a nested payload.
+  const Value flat_payload = Value::List({Value(int64_t{2})});
+  const Value nested_payload = Value::List(
+      {Value::List({Value(int64_t{2}), Value(int64_t{3})})});
+  for (const Value& payload : {flat_payload, nested_payload}) {
+    for (int64_t arity : {int64_t{-1}, int64_t{1} << 40}) {
+      Delta hostile;
+      hostile.op = DeltaOp::kBatch;
+      hostile.tuple = Tuple{Value(int64_t{1}), payload};
+      hostile.old_tuple =
+          Tuple{Value(static_cast<int64_t>(DeltaOp::kUpdate)), Value(arity),
+                Value(int64_t{0})};
+      expanded = DeltaCoalescer::Expand({hostile});
+      ASSERT_FALSE(expanded.ok()) << "arity " << arity;
+      EXPECT_EQ(expanded.status().code(), StatusCode::kDataLoss)
+          << "arity " << arity;
+    }
+  }
 }
 
 TEST(DeltaPackingTest, ExpandPassesPlainStreamsThrough) {
