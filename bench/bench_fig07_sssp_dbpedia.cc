@@ -87,29 +87,6 @@ BENCHMARK(BM_RexDeltaNoCoalesce)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// Columnar-plane ablation pair: identical query and knobs, columnar delta
-// batches on vs off. Results are bit-identical (the CI smoke job asserts
-// equal tuples_sent / strata); the columnar profile must report
-// batch_rows > 0 and the scalar one batch_rows == 0.
-void BM_RexDeltaColumnar(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = RunRexSssp(Graph(), /*delta=*/true, kWorkers, kFullIterations);
-    if (r.ok()) EmitRecursiveSeries("fig7", "REXdelta-columnar", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaColumnar)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_RexDeltaScalar(benchmark::State& state) {
-  for (auto _ : state) {
-    RexRunTweaks tweaks;
-    tweaks.columnar_batches = false;
-    auto r = RunRexSssp(Graph(), /*delta=*/true, kWorkers, kFullIterations,
-                        0, tweaks);
-    if (r.ok()) EmitRecursiveSeries("fig7", "REXdelta-scalar", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaScalar)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 // Differential-compression ablation pair: identical query and knobs, the
 // checkpoint codec on vs off. Results are bit-identical (the CI smoke
 // job asserts equal tuples_sent / strata).

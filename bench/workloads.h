@@ -54,10 +54,6 @@ inline MrConfig BenchMrConfig(int workers) {
 struct RexRunTweaks {
   bool coalesce_deltas = true;
   bool preaggregate = true;
-  /// Columnar delta batches (exec.batch_* kernels); off reproduces the
-  /// pure scalar data plane for the ablation pairs. Results are
-  /// bit-identical either way.
-  bool columnar_batches = true;
   /// Differential compression (common/delta_codec.h) of checkpoint epoch
   /// chains. Results are bit-identical either way; the ablation pairs
   /// compare stored byte volume.
@@ -74,7 +70,6 @@ inline Result<SeriesResult> RunRexPageRank(const GraphData& graph,
                                            RexRunTweaks tweaks = {}) {
   EngineConfig engine = BenchEngineConfig(workers);
   engine.coalesce_deltas = tweaks.coalesce_deltas;
-  engine.columnar_batches = tweaks.columnar_batches;
   engine.diff_checkpoints = tweaks.diff_checkpoints;
   Cluster cluster(std::move(engine));
   PageRankConfig cfg;
@@ -125,7 +120,6 @@ inline Result<SeriesResult> RunRexSssp(const GraphData& graph, bool delta,
                                        RexRunTweaks tweaks = {}) {
   EngineConfig engine = BenchEngineConfig(workers);
   engine.coalesce_deltas = tweaks.coalesce_deltas;
-  engine.columnar_batches = tweaks.columnar_batches;
   engine.diff_checkpoints = tweaks.diff_checkpoints;
   Cluster cluster(std::move(engine));
   REX_RETURN_NOT_OK(LoadGraphTables(&cluster, graph));

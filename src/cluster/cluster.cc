@@ -572,8 +572,6 @@ void Cluster::AssembleProfile(const std::vector<int>& live,
     MetricsRegistry* m = workers_[static_cast<size_t>(w)]->metrics();
     p.deltas_coalesced += m->Value(metrics::kDeltasCoalesced);
     p.coalesce_bytes_saved += m->Value(metrics::kCoalesceBytesSaved);
-    p.batch_rows += m->Value(metrics::kBatchRows);
-    p.batch_fallback_rows += m->Value(metrics::kBatchFallbackRows);
   }
 }
 
@@ -831,8 +829,6 @@ Cluster::ProfileBaseline Cluster::SnapshotBaseline() const {
     b.deltas_coalesced += w->metrics()->Value(metrics::kDeltasCoalesced);
     b.coalesce_bytes_saved +=
         w->metrics()->Value(metrics::kCoalesceBytesSaved);
-    b.batch_rows += w->metrics()->Value(metrics::kBatchRows);
-    b.batch_fallback_rows += w->metrics()->Value(metrics::kBatchFallbackRows);
   }
   MetricsRegistry& ckpt = active_checkpoints_->metrics();
   b.checkpoint_bytes = ckpt.Value(metrics::kCheckpointBytes);
@@ -855,9 +851,6 @@ void Cluster::SubtractBaseline(const ProfileBaseline& base, QueryProfile* p) {
   p->deltas_coalesced = diff(p->deltas_coalesced, base.deltas_coalesced);
   p->coalesce_bytes_saved =
       diff(p->coalesce_bytes_saved, base.coalesce_bytes_saved);
-  p->batch_rows = diff(p->batch_rows, base.batch_rows);
-  p->batch_fallback_rows =
-      diff(p->batch_fallback_rows, base.batch_fallback_rows);
   p->checkpoint_bytes = diff(p->checkpoint_bytes, base.checkpoint_bytes);
   p->checkpoint_tuples = diff(p->checkpoint_tuples, base.checkpoint_tuples);
   p->recovery_refetch_bytes =

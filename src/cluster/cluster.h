@@ -268,8 +268,6 @@ class Cluster {
     int64_t tuples_sent = 0;
     int64_t deltas_coalesced = 0;
     int64_t coalesce_bytes_saved = 0;
-    int64_t batch_rows = 0;
-    int64_t batch_fallback_rows = 0;
     int64_t checkpoint_bytes = 0;
     int64_t checkpoint_tuples = 0;
     int64_t recovery_refetch_bytes = 0;

@@ -22,9 +22,7 @@ WorkerNode::WorkerNode(int id, Network* network, StorageCatalog* storage,
   ctx_.config = config;
   ctx_.trace = &trace_;
   dup_discarded_ = metrics_.GetCounter(metrics::kDupDiscarded);
-  if (config == nullptr || config->profile_operators) {
-    dispatch_timer_ = metrics_.GetTimer(metrics::kDispatchTimer);
-  }
+  dispatch_timer_ = metrics_.GetTimer(metrics::kDispatchTimer);
 }
 
 WorkerNode::~WorkerNode() { Stop(); }

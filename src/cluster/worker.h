@@ -92,7 +92,7 @@ class WorkerNode {
   /// Hot-path metric handles, resolved once at construction (a name lookup
   /// per message would take the registry mutex on every dispatch).
   Counter* dup_discarded_ = nullptr;
-  Timer* dispatch_timer_ = nullptr;  // null when profiling is off
+  Timer* dispatch_timer_ = nullptr;
   ExecContext ctx_;
   /// Resident plans by query id; `plan_` aliases the active one.
   std::map<int, std::unique_ptr<LocalPlan>> plans_;

@@ -24,6 +24,19 @@ Delta Delta::WithTuple(Tuple t) const {
   return d;
 }
 
+Status Delta::CanonicalizeSign() {
+  if ((op != DeltaOp::kInsert && op != DeltaOp::kDelete) || weight >= 0) {
+    return Status::OK();
+  }
+  if (weight == INT64_MIN) {
+    return Status::InvalidArgument(
+        "delta weight INT64_MIN is not negatable: " + ToString());
+  }
+  op = op == DeltaOp::kInsert ? DeltaOp::kDelete : DeltaOp::kInsert;
+  weight = -weight;
+  return Status::OK();
+}
+
 Delta Delta::Negated() const {
   Delta d = *this;
   switch (op) {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/tuple.h"
 
 namespace rex {
@@ -95,6 +96,11 @@ struct Delta {
     if (op != DeltaOp::kDelete) return weight;
     return weight == INT64_MIN ? INT64_MAX : -weight;
   }
+
+  /// Canonical set-plane sign: a +() of weight -w becomes a -() of weight
+  /// w and vice versa. Other ops are left alone. Fails on INT64_MIN, which
+  /// has no negation.
+  Status CanonicalizeSign();
 
   /// The inverse delta: applying a batch then its negation is the identity.
   Delta Negated() const;

@@ -142,12 +142,9 @@ inline constexpr const char kDeltaTuples[] = "exec.delta_tuples";
 inline constexpr const char kDeltasCoalesced[] = "exec.deltas_coalesced";
 inline constexpr const char kCoalesceBytesSaved[] =
     "exec.coalesce_bytes_saved";
-/// Columnar data plane: rows processed through a vectorized batch kernel
-/// (filter eval, shuffle partitioning, group/join key hashing, coalescer
-/// fold), batches converted, and rows that fell back to the scalar path
-/// because the stream was outside the batch domain.
+/// Nothing writes this; kept because perfbench/src/harness.cc reads it.
 inline constexpr const char kBatchRows[] = "exec.batch_rows";
-inline constexpr const char kBatchBatches[] = "exec.batch_batches";
+/// Nothing writes this; kept because perfbench/src/harness.cc reads it.
 inline constexpr const char kBatchFallbackRows[] = "exec.batch_fallback_rows";
 inline constexpr const char kCheckpointBytes[] = "recovery.checkpoint_bytes";
 inline constexpr const char kCheckpointTuples[] = "recovery.checkpoint_tuples";

@@ -80,29 +80,6 @@ class SumFunction : public AggFunction {
                        int64_t w) const override {
     return Apply(state, v, w);
   }
-  Status ApplyWeightedInt(AggState* state, int64_t v,
-                          int64_t w) const override {
-    auto* s = static_cast<SumState*>(state);
-    int64_t contribution = 0;
-    int64_t next = 0;
-    if (__builtin_mul_overflow(w, v, &contribution) ||
-        __builtin_add_overflow(s->int_sum, contribution, &next)) {
-      return Status::InvalidArgument(
-          "sum() overflow: " + std::to_string(s->int_sum) + " + " +
-          std::to_string(w) + "×" + Value(v).ToString() +
-          " leaves int64 range");
-    }
-    s->int_sum = next;
-    s->sum += static_cast<double>(w) * static_cast<double>(v);
-    return CheckedCountAdd(&s->count, w, "sum");
-  }
-  Status ApplyWeightedDouble(AggState* state, double v,
-                             int64_t w) const override {
-    auto* s = static_cast<SumState*>(state);
-    s->all_int = false;
-    s->sum += static_cast<double>(w) * v;
-    return CheckedCountAdd(&s->count, w, "sum");
-  }
   bool IsLinear() const override { return true; }
   Result<Value> Current(const AggState* state) const override {
     const auto* s = static_cast<const SumState*>(state);
@@ -122,7 +99,12 @@ class SumFunction : public AggFunction {
   static Status Apply(AggState* state, const Value& v, int64_t weight) {
     auto* s = static_cast<SumState*>(state);
     if (v.is_null()) return Status::OK();  // SQL semantics: ignore NULLs
-    REX_ASSIGN_OR_RETURN(double d, v.ToDouble());
+    double d = 0;
+    if (v.type() == ValueType::kDouble) {
+      d = v.AsDouble();  // the common case skips the out-of-line ToDouble
+    } else {
+      REX_ASSIGN_OR_RETURN(d, v.ToDouble());
+    }
     if (v.type() == ValueType::kInt) {
       int64_t contribution = 0;
       int64_t next = 0;
@@ -165,16 +147,6 @@ class CountFunction : public AggFunction {
     return CheckedCountAdd(&static_cast<CountState*>(state)->count, w,
                            "count");
   }
-  Status ApplyWeightedInt(AggState* state, int64_t,
-                          int64_t w) const override {
-    return CheckedCountAdd(&static_cast<CountState*>(state)->count, w,
-                           "count");
-  }
-  Status ApplyWeightedDouble(AggState* state, double,
-                             int64_t w) const override {
-    return CheckedCountAdd(&static_cast<CountState*>(state)->count, w,
-                           "count");
-  }
   bool IsLinear() const override { return true; }
   Result<Value> Current(const AggState* state) const override {
     return Value(static_cast<const CountState*>(state)->count);
@@ -212,17 +184,6 @@ class AvgFunction : public AggFunction {
   Status ApplyWeighted(AggState* state, const Value& v,
                        int64_t w) const override {
     return Apply(state, v, w);
-  }
-  Status ApplyWeightedInt(AggState* state, int64_t v,
-                          int64_t w) const override {
-    return ApplyInt(state, v, w);
-  }
-  Status ApplyWeightedDouble(AggState* state, double v,
-                             int64_t w) const override {
-    auto* s = static_cast<AvgState*>(state);
-    s->all_int = false;
-    s->sum += static_cast<double>(w) * v;
-    return CheckedCountAdd(&s->count, w, "avg");
   }
   bool IsLinear() const override { return true; }
   Result<Value> Current(const AggState* state) const override {
@@ -264,7 +225,12 @@ class AvgFunction : public AggFunction {
     auto* s = static_cast<AvgState*>(state);
     if (v.is_null()) return Status::OK();
     if (v.type() == ValueType::kInt) return ApplyInt(state, v.AsInt(), weight);
-    REX_ASSIGN_OR_RETURN(double d, v.ToDouble());
+    double d = 0;
+    if (v.type() == ValueType::kDouble) {
+      d = v.AsDouble();  // the common case skips the out-of-line ToDouble
+    } else {
+      REX_ASSIGN_OR_RETURN(d, v.ToDouble());
+    }
     s->all_int = false;
     s->sum += static_cast<double>(weight) * d;
     return CheckedCountAdd(&s->count, weight, "avg");

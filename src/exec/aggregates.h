@@ -43,18 +43,6 @@ class AggFunction {
   /// replays |w| unit applications, which is correct for any aggregate.
   virtual Status ApplyWeighted(AggState* state, const Value& v,
                                int64_t w) const;
-  /// Typed fast paths for the columnar plane: fold one unboxed cell with
-  /// multiplicity `w`, bit-identical to ApplyWeighted on the boxed Value
-  /// (including error messages). The defaults box and delegate; the linear
-  /// builtins (sum/count/avg) override with direct accumulator code so the
-  /// vectorized group-by never constructs a Value per row.
-  virtual Status ApplyWeightedInt(AggState* state, int64_t v, int64_t w) const {
-    return ApplyWeighted(state, Value(v), w);
-  }
-  virtual Status ApplyWeightedDouble(AggState* state, double v,
-                                     int64_t w) const {
-    return ApplyWeighted(state, Value(v), w);
-  }
   /// Whether ApplyWeighted is an O(1) scale of the unit apply — the
   /// soundness condition for deriving this aggregate's delta handler
   /// mechanically from the weighted model.

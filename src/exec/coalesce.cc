@@ -6,10 +6,8 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/delta_batch.h"
 #include "common/tuple.h"
 #include "common/value.h"
-#include "exec/vectorized.h"
 
 namespace rex {
 
@@ -123,30 +121,6 @@ void RenderNet(const KeyState& ks, DeltaVec* out) {
   }
 }
 
-/// Tuple::Hash / Tuple::HashFields seed, for hashing projected keys
-/// column-at-a-time without materializing the projection.
-constexpr uint64_t kTupleHashSeed = 0x2545f4914f6cdd1dULL;
-
-size_t BatchTotalBytes(const DeltaBatch& batch) {
-  size_t bytes = 0;
-  for (size_t r = 0; r < batch.NumRows(); ++r) bytes += batch.RowByteSize(r);
-  return bytes;
-}
-
-/// Columnar mirror of the per-key ℤ-set fold: net terms reference batch
-/// rows instead of owning Tuples, so key probes and term matches compare
-/// raw column cells.
-struct ColNetTerm {
-  size_t row = 0;  // first-contribution row carrying the term's tuple
-  int64_t weight = 0;
-};
-
-struct ColKeyState {
-  size_t first_row = 0;  // key identity: this row's key fields
-  std::vector<ColNetTerm> net;
-  int slot = -1;
-};
-
 /// True when the fold is the identity on `in` (see coalesce.h): every
 /// delta is +()/-()/δ() with weight > 0 and an empty old tuple, every key
 /// field is in range, and no key repeats.
@@ -198,204 +172,6 @@ bool IsFoldFree(const DeltaVec& in, const std::vector<int>& keys) {
 
 }  // namespace
 
-std::optional<Result<DeltaVec>> DeltaCoalescer::TryColumnar(
-    DeltaVec& in, CoalesceStats* stats) const {
-  auto maybe_batch = DeltaBatch::FromDeltas(in);
-  if (!maybe_batch) return std::nullopt;
-  const DeltaBatch& batch = *maybe_batch;
-  if (!batch.KeyFieldsInRange(options_.key_fields)) return std::nullopt;
-  const size_t n = batch.NumRows();
-
-  bool all_update = true;
-  bool all_set = true;  // only kInsert / kDelete
-  for (DeltaOp op : batch.ops()) {
-    if (op != DeltaOp::kUpdate) all_update = false;
-    if (op != DeltaOp::kInsert && op != DeltaOp::kDelete) all_set = false;
-  }
-  // Mixed streams and set-plane dedupe keep the scalar fold (dedupe's
-  // net-presence rule interleaves with the ℤ algebra in ways not worth
-  // duplicating here).
-  if (!all_update && !all_set) return std::nullopt;
-  if (all_set && options_.dedupe_idempotent) return std::nullopt;
-
-  const size_t bytes_in = stats != nullptr ? BatchTotalBytes(batch) : 0;
-  DeltaVec out;
-  out.reserve(n);
-
-  if (all_update && !options_.dedupe_idempotent) {
-    // δ() passthrough: the scalar fold only drops weight-0 rows; the
-    // per-delta key projection + KeyState it also performs has no
-    // observable effect on a pure update stream, so skip it wholesale.
-    for (size_t r = 0; r < n; ++r) {
-      if (batch.weight(r) != 0) out.push_back(std::move(in[r]));
-    }
-  } else if (all_update) {
-    // δ() + idempotent dedupe: drop exact repeats of a key's retained
-    // (op, tuple, weight) rows. Retained rows per key index into the
-    // batch; comparisons are raw column cells.
-    std::vector<uint64_t> key_hash;
-    SeededKeyHashRows(batch, kTupleHashSeed, options_.key_fields, &key_hash);
-    std::deque<std::vector<size_t>> retained_by_state;
-    std::unordered_map<uint64_t, std::vector<int>> by_key;
-    auto rows_same_key = [&](size_t a, size_t b) {
-      return options_.key_fields.empty()
-                 ? batch.RowsEqual(a, b)
-                 : batch.RowsEqualOnFields(a, b, options_.key_fields);
-    };
-    for (size_t r = 0; r < n; ++r) {
-      if (batch.weight(r) == 0) continue;  // zero-weight elimination
-      auto& chain = by_key[key_hash[r]];
-      int state = -1;
-      for (int idx : chain) {
-        if (rows_same_key(retained_by_state[static_cast<size_t>(idx)].empty()
-                              ? r  // state created by a row, never empty
-                              : retained_by_state[static_cast<size_t>(idx)][0],
-                          r)) {
-          state = idx;
-          break;
-        }
-      }
-      if (state < 0) {
-        state = static_cast<int>(retained_by_state.size());
-        retained_by_state.emplace_back();
-        chain.push_back(state);
-      }
-      auto& retained = retained_by_state[static_cast<size_t>(state)];
-      bool dup = false;
-      for (size_t prev : retained) {
-        if (batch.weight(prev) == batch.weight(r) &&
-            batch.RowsEqual(prev, r)) {
-          dup = true;
-          break;
-        }
-      }
-      if (dup) continue;
-      retained.push_back(r);
-      out.push_back(std::move(in[r]));
-    }
-  } else {
-    // Set plane (+ / - only): the full ℤ-set fold over columns. Identical
-    // placement rules: a key's render slot is claimed at its first live
-    // contribution and released whenever its net annihilates.
-    std::vector<uint64_t> key_hash;
-    SeededKeyHashRows(batch, kTupleHashSeed, options_.key_fields, &key_hash);
-    std::deque<ColKeyState> key_states;
-    std::unordered_map<uint64_t, std::vector<int>> by_key;
-    // entries[i] >= 0: render slot for that key-state index (this path has
-    // no passthrough entries — every row is a contribution).
-    std::vector<int> entries;
-    std::vector<bool> entry_alive;
-    auto rows_same_key = [&](size_t a, size_t b) {
-      return options_.key_fields.empty()
-                 ? batch.RowsEqual(a, b)
-                 : batch.RowsEqualOnFields(a, b, options_.key_fields);
-    };
-    for (size_t r = 0; r < n; ++r) {
-      auto& chain = by_key[key_hash[r]];
-      int ks_idx = -1;
-      for (int idx : chain) {
-        if (rows_same_key(key_states[static_cast<size_t>(idx)].first_row,
-                          r)) {
-          ks_idx = idx;
-          break;
-        }
-      }
-      if (ks_idx < 0) {
-        ks_idx = static_cast<int>(key_states.size());
-        key_states.push_back(ColKeyState{r, {}, -1});
-        chain.push_back(ks_idx);
-      }
-      ColKeyState& ks = key_states[static_cast<size_t>(ks_idx)];
-      const int64_t w = batch.op(r) == DeltaOp::kDelete ? -batch.weight(r)
-                                                        : batch.weight(r);
-      if (w == 0) continue;  // zero-weight elimination, no entry
-      bool found = false;
-      for (size_t t = 0; t < ks.net.size(); ++t) {
-        if (batch.RowsEqual(ks.net[t].row, r)) {
-          int64_t sum = 0;
-          if (__builtin_add_overflow(ks.net[t].weight, w, &sum)) {
-            return Result<DeltaVec>(Status::InvalidArgument(
-                "ℤ-set weight overflow coalescing tuple " +
-                batch.MaterializeRow(r).ToString() + ": " +
-                std::to_string(ks.net[t].weight) + " + " +
-                std::to_string(w) + " leaves int64 range"));
-          }
-          ks.net[t].weight = sum;
-          if (sum == 0) {
-            ks.net.erase(ks.net.begin() + static_cast<ptrdiff_t>(t));
-          }
-          found = true;
-          break;
-        }
-      }
-      if (!found) ks.net.push_back(ColNetTerm{r, w});
-      if (ks.net.empty()) {
-        if (ks.slot >= 0) {
-          entry_alive[static_cast<size_t>(ks.slot)] = false;
-          ks.slot = -1;
-        }
-      } else if (ks.slot < 0) {
-        ks.slot = static_cast<int>(entries.size());
-        entries.push_back(ks_idx);
-        entry_alive.push_back(true);
-      }
-    }
-    for (size_t e = 0; e < entries.size(); ++e) {
-      if (!entry_alive[e]) continue;
-      const ColKeyState& ks = key_states[static_cast<size_t>(entries[e])];
-      int negs = 0;
-      int poss = 0;
-      for (const ColNetTerm& term : ks.net) {
-        (term.weight < 0 ? negs : poss)++;
-      }
-      if (negs == 1 && poss == 1 && ks.net.size() == 2) {
-        const ColNetTerm& neg =
-            ks.net[0].weight < 0 ? ks.net[0] : ks.net[1];
-        const ColNetTerm& pos =
-            ks.net[0].weight > 0 ? ks.net[0] : ks.net[1];
-        if (neg.weight == -1 && pos.weight == 1) {
-          out.push_back(Delta::Replace(batch.MaterializeRow(neg.row),
-                                       batch.MaterializeRow(pos.row)));
-          continue;
-        }
-      }
-      for (const ColNetTerm& term : ks.net) {
-        if (term.weight < 0) {
-          out.push_back(Delta{DeltaOp::kDelete,
-                              batch.MaterializeRow(term.row),
-                              {},
-                              -term.weight});
-        }
-      }
-      for (const ColNetTerm& term : ks.net) {
-        if (term.weight > 0) {
-          out.push_back(Delta{DeltaOp::kInsert,
-                              batch.MaterializeRow(term.row),
-                              {},
-                              term.weight});
-        }
-      }
-    }
-  }
-
-  const int64_t folded = std::max<int64_t>(
-      0, static_cast<int64_t>(n) - static_cast<int64_t>(out.size()));
-  if (options_.pack_runs && !options_.key_fields.empty()) {
-    out = PackRuns(std::move(out));
-  }
-  if (stats != nullptr) {
-    stats->deltas_in += static_cast<int64_t>(n);
-    stats->deltas_out += static_cast<int64_t>(out.size());
-    stats->folded += folded;
-    stats->columnar_rows += static_cast<int64_t>(n);
-    const size_t bytes_out = TotalBytes(out);
-    if (bytes_in > bytes_out) {
-      stats->bytes_saved += static_cast<int64_t>(bytes_in - bytes_out);
-    }
-  }
-  return Result<DeltaVec>(std::move(out));
-}
-
 Result<DeltaVec> DeltaCoalescer::Coalesce(DeltaVec in,
                                           CoalesceStats* stats) const {
   if (IsFoldFree(in, options_.key_fields)) {
@@ -404,10 +180,6 @@ Result<DeltaVec> DeltaCoalescer::Coalesce(DeltaVec in,
       stats->deltas_out += static_cast<int64_t>(in.size());
     }
     return in;
-  }
-  if (options_.columnar) {
-    auto fast = TryColumnar(in, stats);
-    if (fast.has_value()) return std::move(*fast);
   }
   const size_t bytes_in = stats != nullptr ? TotalBytes(in) : 0;
   const size_t n_in = in.size();

@@ -49,7 +49,6 @@
 #define REX_EXEC_COALESCE_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/delta.h"
@@ -66,11 +65,6 @@ struct CoalesceOptions {
   /// Mechanism 3: pack each key's uniform +()/δ() run into one kBatch
   /// delta. Only for streams headed to a RehashOp network port.
   bool pack_runs = false;
-  /// Attempt the columnar fast paths first (EngineConfig::columnar_batches):
-  /// streams that convert to a DeltaBatch run the fold over typed columns —
-  /// bit-identical output and stats, no per-row Tuple projection/hashing.
-  /// Streams outside the batch domain silently take the scalar path.
-  bool columnar = false;
 };
 
 struct CoalesceStats {
@@ -82,9 +76,6 @@ struct CoalesceStats {
   /// Wire bytes saved end to end: ByteSize(in) - ByteSize(out), including
   /// the key-sharing savings of packing.
   int64_t bytes_saved = 0;
-  /// Input rows that were folded by a columnar fast path (a subset of
-  /// deltas_in; feeds the exec.batch_rows meter).
-  int64_t columnar_rows = 0;
 };
 
 class DeltaCoalescer {
@@ -113,10 +104,6 @@ class DeltaCoalescer {
 
  private:
   DeltaVec PackRuns(DeltaVec in) const;
-  /// Columnar fast path dispatcher: nullopt means "not applicable, run the
-  /// scalar fold"; a value is the final (possibly error) result.
-  std::optional<Result<DeltaVec>> TryColumnar(DeltaVec& in,
-                                              CoalesceStats* stats) const;
 
   CoalesceOptions options_;
 };

@@ -32,15 +32,6 @@ struct EngineConfig {
   /// baselines and the Figure 3/12 "raw" series).
   bool coalesce_deltas = true;
 
-  /// Columnar delta batches: hot operators (filter, rehash, group-by,
-  /// hash-join, the coalescer) convert each DeltaVec to a schema-typed
-  /// DeltaBatch at the edge and run vectorized column-at-a-time kernels
-  /// when the stream fits the null-free fast-path domain; anything else
-  /// silently takes the scalar path. Results are bit-identical either way
-  /// — this knob only exists for the ablation benches and as a kill
-  /// switch.
-  bool columnar_batches = true;
-
   /// UDC input batching (§4.2): table-UDF invocations take sequences of
   /// tuples, amortizing invocation overhead. 1 disables batching.
   size_t udf_batch_size = 64;
@@ -92,13 +83,6 @@ struct EngineConfig {
   /// replaying all checkpointed Δ sets reproduces each fixpoint's mutable
   /// state bit-for-bit.
   bool verify_invariants = false;
-
-  /// Record per-operator per-port wall time in Consume. Counts (batches,
-  /// tuples, puncts, deltas emitted) are always kept — they are plain
-  /// increments — but timing reads the clock around every Consume, which
-  /// on local single-delta edges is effectively per-tuple; set false for
-  /// peak-throughput runs.
-  bool profile_operators = true;
 };
 
 class TraceRing;

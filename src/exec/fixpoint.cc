@@ -57,12 +57,10 @@ Status FixpointOp::Open(ExecContext* ctx) {
   if (ctx->config->coalesce_deltas && params_.mode == Mode::kDelta) {
     CoalesceOptions opts;
     opts.key_fields = params_.key_fields;
-    opts.columnar = ctx->config->columnar_batches;
     coalescer_.emplace(std::move(opts));
     deltas_coalesced_ = ctx->metrics->GetCounter(metrics::kDeltasCoalesced);
     coalesce_bytes_saved_ =
         ctx->metrics->GetCounter(metrics::kCoalesceBytesSaved);
-    batch_rows_ = ctx->metrics->GetCounter(metrics::kBatchRows);
   }
   return Status::OK();
 }
@@ -263,7 +261,6 @@ Status FixpointOp::StartStratum(int stratum) {
                            coalescer_->Coalesce(std::move(flush), &stats));
       deltas_coalesced_->Add(stats.folded);
       coalesce_bytes_saved_->Add(stats.bytes_saved);
-      if (stats.columnar_rows > 0) batch_rows_->Add(stats.columnar_rows);
     }
   }
   // Counted after coalescing: the per-stratum Δ cardinality the Figure 3 /

@@ -166,8 +166,6 @@ class FixpointOp : public Operator {
   std::optional<DeltaCoalescer> coalescer_;
   Counter* deltas_coalesced_ = nullptr;
   Counter* coalesce_bytes_saved_ = nullptr;
-  /// Rows the coalescer's columnar fold handled (exec.batch_rows).
-  Counter* batch_rows_ = nullptr;
   /// Net Δ tuples flushed per stratum (exec.delta_tuples).
   Counter* delta_tuples_ = nullptr;
 

@@ -1,7 +1,5 @@
 #include "exec/group_by.h"
 
-#include "exec/vectorized.h"
-
 namespace rex {
 
 namespace {
@@ -12,6 +10,9 @@ uint64_t HashKey(const std::vector<Value>& key) {
   for (const Value& v : key) h = HashCombine(h, v.Hash());
   return h;
 }
+
+/// count(*)'s input for every row.
+const Value kCountStarInput(static_cast<int64_t>(1));
 }  // namespace
 
 Status GroupByOp::Open(ExecContext* ctx) {
@@ -36,13 +37,6 @@ Status GroupByOp::Open(ExecContext* ctx) {
     return Status::InvalidArgument("group-by needs aggregates or a UDA");
   }
   coalescer_.reset();
-  columnar_ = ctx->config->columnar_batches;
-  if (columnar_) {
-    batch_rows_ = ctx->metrics->GetCounter(metrics::kBatchRows);
-    batch_batches_ = ctx->metrics->GetCounter(metrics::kBatchBatches);
-    batch_fallback_rows_ =
-        ctx->metrics->GetCounter(metrics::kBatchFallbackRows);
-  }
   if (ctx->config->coalesce_deltas) {
     CoalesceOptions opts;
     if (uda_ == nullptr) {
@@ -51,7 +45,6 @@ Status GroupByOp::Open(ExecContext* ctx) {
         opts.key_fields.push_back(static_cast<int>(i));
       }
     }
-    opts.columnar = columnar_;
     coalescer_.emplace(std::move(opts));
     deltas_coalesced_ = ctx->metrics->GetCounter(metrics::kDeltasCoalesced);
     coalesce_bytes_saved_ =
@@ -117,85 +110,6 @@ GroupByOp::Group* GroupByOp::FindOrCreateFromTuple(const Tuple& t) {
   return &g;
 }
 
-GroupByOp::Group* GroupByOp::FindOrCreateFromBatch(const DeltaBatch& batch,
-                                                   size_t row, uint64_t h) {
-  auto& chain = groups_.FindOrCreate(h);
-  for (Group& g : chain) {
-    bool match = g.key.size() == params_.key_fields.size();
-    for (size_t i = 0; match && i < g.key.size(); ++i) {
-      match = batch.CellEqualsValue(
-          row, static_cast<size_t>(params_.key_fields[i]), g.key[i]);
-    }
-    if (match) return &g;
-  }
-  chain.push_back(Group{});
-  Group& g = chain.back();
-  g.key.reserve(params_.key_fields.size());
-  for (int k : params_.key_fields) {
-    g.key.push_back(batch.ValueAt(row, static_cast<size_t>(k)));
-  }
-  // The columnar path only runs with built-in aggregates (no UDA state).
-  g.agg_states.reserve(params_.aggs.size());
-  for (const AggSpec& spec : params_.aggs) {
-    g.agg_states.push_back(GetAggFunction(spec.kind)->NewState());
-  }
-  return &g;
-}
-
-Result<bool> GroupByOp::ConsumeColumnar(const DeltaVec& deltas) {
-  std::optional<DeltaBatch> batch = DeltaBatch::FromDeltas(deltas);
-  if (!batch.has_value() || !batch->KeyFieldsInRange(params_.key_fields)) {
-    batch_fallback_rows_->Add(static_cast<int64_t>(deltas.size()));
-    return false;
-  }
-  for (const AggSpec& spec : params_.aggs) {
-    if (spec.input_field < 0) continue;  // count(*): any-value input
-    if (static_cast<size_t>(spec.input_field) >= batch->NumColumns() ||
-        batch->column(static_cast<size_t>(spec.input_field)).type ==
-            BatchColType::kString) {
-      // String inputs (min/max over strings) keep the boxed scalar path.
-      batch_fallback_rows_->Add(static_cast<int64_t>(deltas.size()));
-      return false;
-    }
-  }
-  const size_t n = batch->NumRows();
-  std::vector<uint64_t> hashes;
-  if (params_.key_fields.empty()) {
-    // Global group: the scalar hash loop folds zero fields, leaving the
-    // bare seed (NOT the whole-tuple hash SeededKeyHashRows would give).
-    hashes.assign(n, kGroupHashSeed);
-  } else {
-    SeededKeyHashRows(*batch, kGroupHashSeed, params_.key_fields, &hashes);
-  }
-  batch_rows_->Add(static_cast<int64_t>(n));
-  batch_batches_->Add(1);
-  for (size_t r = 0; r < n; ++r) {
-    Group* g = FindOrCreateFromBatch(*batch, r, hashes[r]);
-    g->touched = true;
-    // Same signed multiplicity ApplyBuiltin derives: kDelete → -w,
-    // kInsert/kUpdate → +w (the batch domain excludes kReplace/kBatch).
-    const int64_t w = batch->op(r) == DeltaOp::kDelete ? -batch->weight(r)
-                                                       : batch->weight(r);
-    for (size_t i = 0; i < params_.aggs.size(); ++i) {
-      const AggSpec& spec = params_.aggs[i];
-      const AggFunction* fn = GetAggFunction(spec.kind);
-      AggState* state = g->agg_states[i].get();
-      if (spec.input_field < 0) {
-        REX_RETURN_NOT_OK(fn->ApplyWeightedInt(state, 1, w));
-        continue;
-      }
-      const BatchColumn& col =
-          batch->column(static_cast<size_t>(spec.input_field));
-      if (col.type == BatchColType::kInt) {
-        REX_RETURN_NOT_OK(fn->ApplyWeightedInt(state, col.ints[r], w));
-      } else {
-        REX_RETURN_NOT_OK(fn->ApplyWeightedDouble(state, col.doubles[r], w));
-      }
-    }
-  }
-  return true;
-}
-
 Status GroupByOp::ApplyBuiltin(Group* g, DeltaOp op, const Tuple& t,
                                const Tuple& old_t, int64_t weight) {
   // The built-in delta handler is derived from the weighted ℤ-set model:
@@ -206,9 +120,10 @@ Status GroupByOp::ApplyBuiltin(Group* g, DeltaOp op, const Tuple& t,
     const AggSpec& spec = params_.aggs[i];
     const AggFunction* fn = GetAggFunction(spec.kind);
     AggState* state = g->agg_states[i].get();
-    const Value in = spec.input_field < 0
-                         ? Value(static_cast<int64_t>(1))
-                         : t.field(static_cast<size_t>(spec.input_field));
+    // Bound by reference: no Value copy per row and aggregate.
+    const Value& in = spec.input_field < 0
+                          ? kCountStarInput
+                          : t.field(static_cast<size_t>(spec.input_field));
     switch (op) {
       case DeltaOp::kInsert:
       case DeltaOp::kUpdate:  // hidden-attribute rule: plain insert
@@ -218,9 +133,9 @@ Status GroupByOp::ApplyBuiltin(Group* g, DeltaOp op, const Tuple& t,
         REX_RETURN_NOT_OK(fn->ApplyWeighted(state, in, -weight));
         break;
       case DeltaOp::kReplace: {
-        const Value old_in =
+        const Value& old_in =
             spec.input_field < 0
-                ? Value(static_cast<int64_t>(1))
+                ? kCountStarInput
                 : old_t.field(static_cast<size_t>(spec.input_field));
         REX_RETURN_NOT_OK(fn->Delete(state, old_in));
         REX_RETURN_NOT_OK(fn->Insert(state, in));
@@ -236,11 +151,6 @@ Status GroupByOp::ApplyBuiltin(Group* g, DeltaOp op, const Tuple& t,
 
 Status GroupByOp::ConsumeDeltas(int, DeltaVec deltas) {
   tuples_processed_->Add(static_cast<int64_t>(deltas.size()));
-  if (columnar_ && uda_ == nullptr && !deltas.empty()) {
-    REX_ASSIGN_OR_RETURN(bool handled, ConsumeColumnar(deltas));
-    // Built-ins never stream partials; emission happens at punctuation.
-    if (handled) return Emit(DeltaVec());
-  }
   DeltaVec streamed;
   for (Delta& d : deltas) {
     if (uda_ != nullptr) {
@@ -257,13 +167,7 @@ Status GroupByOp::ConsumeDeltas(int, DeltaVec deltas) {
       // applications. That derivation is only sound when the UDA declares
       // itself linear; δ() weights stay opaque and ride through to the
       // handler untouched.
-      if (arg.weight < 0 && (arg.op == DeltaOp::kInsert ||
-                             arg.op == DeltaOp::kDelete)) {
-        // Canonicalize: insert of weight -w is a delete of weight w.
-        arg.op = arg.op == DeltaOp::kInsert ? DeltaOp::kDelete
-                                            : DeltaOp::kInsert;
-        arg.weight = -arg.weight;
-      }
+      REX_RETURN_NOT_OK(arg.CanonicalizeSign());
       int64_t reps = 1;
       if (arg.weight != 1 && (arg.op == DeltaOp::kInsert ||
                               arg.op == DeltaOp::kDelete)) {
@@ -382,7 +286,6 @@ Status GroupByOp::OnAllPunct(const Punctuation&) {
     REX_ASSIGN_OR_RETURN(out, coalescer_->Coalesce(std::move(out), &stats));
     deltas_coalesced_->Add(stats.folded);
     coalesce_bytes_saved_->Add(stats.bytes_saved);
-    if (stats.columnar_rows > 0) batch_rows_->Add(stats.columnar_rows);
   }
   REX_RETURN_NOT_OK(Emit(std::move(out)));
   if (params_.mode == Mode::kStratum) groups_.Clear();

@@ -20,9 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "common/delta_batch.h"
 #include "common/flat_map.h"
-
 #include "exec/aggregates.h"
 #include "exec/coalesce.h"
 #include "exec/operator.h"
@@ -86,16 +84,6 @@ class GroupByOp : public Operator {
   /// Allocation-free lookup on the hot path (key vector only materializes
   /// when a group is created).
   Group* FindOrCreateFromTuple(const Tuple& t);
-  /// Columnar twin of FindOrCreateFromTuple: `h` is the row's precomputed
-  /// seeded key hash; matching compares cells against stored keys without
-  /// boxing.
-  Group* FindOrCreateFromBatch(const DeltaBatch& batch, size_t row,
-                               uint64_t h);
-  /// Vectorized built-in fold: converts the batch once, hashes key columns
-  /// column-at-a-time, and folds each row into its group through the typed
-  /// ApplyWeightedInt/Double fast paths. Returns false (after counting the
-  /// fallback) when the stream is outside the columnar domain.
-  Result<bool> ConsumeColumnar(const DeltaVec& deltas);
   std::vector<Value> KeyOf(const Tuple& t) const;
   Status ApplyBuiltin(Group* g, DeltaOp op, const Tuple& t,
                       const Tuple& old_t, int64_t weight = 1);
@@ -113,13 +101,6 @@ class GroupByOp : public Operator {
   std::optional<DeltaCoalescer> coalescer_;
   Counter* deltas_coalesced_ = nullptr;
   Counter* coalesce_bytes_saved_ = nullptr;
-
-  /// Columnar plane (built-in aggregates only; UDAs own their layout and
-  /// always take the scalar path).
-  bool columnar_ = false;
-  Counter* batch_rows_ = nullptr;
-  Counter* batch_batches_ = nullptr;
-  Counter* batch_fallback_rows_ = nullptr;
 };
 
 }  // namespace rex

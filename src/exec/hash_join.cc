@@ -1,7 +1,5 @@
 #include "exec/hash_join.h"
 
-#include "exec/vectorized.h"
-
 namespace rex {
 
 Status HashJoinOp::Open(ExecContext* ctx) {
@@ -23,13 +21,6 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   } else if (params_.handler_owns_all) {
     return Status::InvalidArgument(
         "handler_owns_all requires a join handler name");
-  }
-  columnar_ = ctx->config->columnar_batches;
-  if (columnar_) {
-    batch_rows_ = ctx->metrics->GetCounter(metrics::kBatchRows);
-    batch_batches_ = ctx->metrics->GetCounter(metrics::kBatchBatches);
-    batch_fallback_rows_ =
-        ctx->metrics->GetCounter(metrics::kBatchFallbackRows);
   }
   return Status::OK();
 }
@@ -70,11 +61,6 @@ bool HashJoinOp::KeyMatches(const Bucket& b, const Tuple& t,
   return true;
 }
 
-HashJoinOp::Bucket* HashJoinOp::FindBucketFromTuple(const Tuple& t,
-                                                    int port) {
-  return FindBucketFromTuple(t, port, HashTupleKey(t, port));
-}
-
 HashJoinOp::Bucket* HashJoinOp::FindBucketFromTuple(const Tuple& t, int port,
                                                     uint64_t hash) {
   std::vector<Bucket>* chain = buckets_.Find(hash);
@@ -83,11 +69,6 @@ HashJoinOp::Bucket* HashJoinOp::FindBucketFromTuple(const Tuple& t, int port,
     if (KeyMatches(b, t, port)) return &b;
   }
   return nullptr;
-}
-
-HashJoinOp::Bucket* HashJoinOp::FindOrCreateFromTuple(const Tuple& t,
-                                                      int port) {
-  return FindOrCreateFromTuple(t, port, HashTupleKey(t, port));
 }
 
 HashJoinOp::Bucket* HashJoinOp::FindOrCreateFromTuple(const Tuple& t,
@@ -140,28 +121,14 @@ Status HashJoinOp::Probe(int port, const Tuple& t, DeltaOp op,
 }
 
 Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaVec* out) {
-  // Insert/delete canonicalization never changes d.tuple, so the key hash
-  // can be computed once up front.
-  const uint64_t hash = HashTupleKey(d.tuple, port);
-  return ApplyStandard(port, std::move(d), out, hash);
-}
-
-Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaVec* out,
-                                 uint64_t hash) {
   const bool immutable_side = params_.immutable[port];
   // Canonicalize the set plane: insert of weight -w is a delete of weight
   // w, and weight zero is a no-op everywhere.
-  if (d.op == DeltaOp::kInsert || d.op == DeltaOp::kDelete) {
-    if (d.weight == 0) return Status::OK();
-    if (d.weight < 0) {
-      if (d.weight == INT64_MIN) {
-        return Status::InvalidArgument(
-            "delta weight INT64_MIN is not negatable: " + d.ToString());
-      }
-      d.op = d.op == DeltaOp::kInsert ? DeltaOp::kDelete : DeltaOp::kInsert;
-      d.weight = -d.weight;
-    }
+  if ((d.op == DeltaOp::kInsert || d.op == DeltaOp::kDelete) &&
+      d.weight == 0) {
+    return Status::OK();
   }
+  REX_RETURN_NOT_OK(d.CanonicalizeSign());
   switch (d.op) {
     case DeltaOp::kInsert:
     case DeltaOp::kUpdate: {
@@ -170,6 +137,7 @@ Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaVec* out,
       // with the annotation (weight included, opaque) preserved on
       // outputs. A weighted +() materializes its multiplicity as physical
       // copies, so bucket cardinality equals ℤ-set multiplicity.
+      const uint64_t hash = HashTupleKey(d.tuple, port);
       Bucket* b = FindOrCreateFromTuple(d.tuple, port, hash);
       const int64_t copies = d.op == DeltaOp::kInsert ? d.weight : 1;
       for (int64_t i = 0; i < copies; ++i) b->side[port].Add(d.tuple);
@@ -179,6 +147,7 @@ Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaVec* out,
       return Status::OK();
     }
     case DeltaOp::kDelete: {
+      const uint64_t hash = HashTupleKey(d.tuple, port);
       Bucket* b = FindBucketFromTuple(d.tuple, port, hash);
       if (b != nullptr) {
         for (int64_t i = 0; i < d.weight; ++i) {
@@ -225,12 +194,8 @@ Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaVec* out,
 }
 
 Status HashJoinOp::ApplyHandler(int port, const Delta& d, DeltaVec* out) {
-  return ApplyHandler(port, d, out, HashTupleKey(d.tuple, port));
-}
-
-Status HashJoinOp::ApplyHandler(int port, const Delta& d, DeltaVec* out,
-                                uint64_t hash) {
-  Bucket* b = FindOrCreateFromTuple(d.tuple, port, hash);
+  Bucket* b =
+      FindOrCreateFromTuple(d.tuple, port, HashTupleKey(d.tuple, port));
   // The handler sees the bucket its delta arrived into first, then the
   // opposite side (the paper's LEFTBUCKET/RIGHTBUCKET convention).
   REX_ASSIGN_OR_RETURN(DeltaVec produced,
@@ -242,38 +207,13 @@ Status HashJoinOp::ApplyHandler(int port, const Delta& d, DeltaVec* out,
 
 Status HashJoinOp::ConsumeDeltas(int port, DeltaVec deltas) {
   tuples_processed_->Add(static_cast<int64_t>(deltas.size()));
-  // Columnar plane: for an in-domain batch, hash the key columns
-  // column-at-a-time (strings hash once per distinct interned value) and
-  // feed the precomputed hashes to the per-row build/probe. An empty key
-  // list means whole-tuple hashing on the scalar path's terms (bare
-  // seed), which SeededKeyHashRows does not reproduce — keep scalar.
-  std::vector<uint64_t> hashes;
-  bool hashed = false;
-  if (columnar_ && !deltas.empty() && !KeysOf(port).empty()) {
-    std::optional<DeltaBatch> batch = DeltaBatch::FromDeltas(deltas);
-    if (batch.has_value() && batch->KeyFieldsInRange(KeysOf(port))) {
-      SeededKeyHashRows(*batch, kJoinHashSeed, KeysOf(port), &hashes);
-      hashed = true;
-      batch_rows_->Add(static_cast<int64_t>(deltas.size()));
-      batch_batches_->Add(1);
-    } else {
-      batch_fallback_rows_->Add(static_cast<int64_t>(deltas.size()));
-    }
-  }
   DeltaVec out;
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    Delta& d = deltas[i];
+  for (Delta& d : deltas) {
     const bool use_handler =
         handler_ != nullptr && !params_.immutable[port] &&
         (params_.handler_owns_all || d.op == DeltaOp::kUpdate);
     if (use_handler) {
-      if (hashed) {
-        REX_RETURN_NOT_OK(ApplyHandler(port, d, &out, hashes[i]));
-      } else {
-        REX_RETURN_NOT_OK(ApplyHandler(port, d, &out));
-      }
-    } else if (hashed) {
-      REX_RETURN_NOT_OK(ApplyStandard(port, std::move(d), &out, hashes[i]));
+      REX_RETURN_NOT_OK(ApplyHandler(port, d, &out));
     } else {
       REX_RETURN_NOT_OK(ApplyStandard(port, std::move(d), &out));
     }

@@ -13,9 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "common/delta_batch.h"
 #include "common/flat_map.h"
-
 #include "exec/operator.h"
 #include "exec/tuple_set.h"
 #include "exec/uda.h"
@@ -66,14 +64,11 @@ class HashJoinOp : public Operator {
   std::vector<Value> KeyValues(const Tuple& t, int port) const;
   Bucket* FindOrCreate(const std::vector<Value>& key, uint64_t hash);
   Bucket* FindBucket(const std::vector<Value>& key, uint64_t hash);
-  // Allocation-free hot-path lookups. The `hash` overloads take the
-  // tuple's precomputed key hash (the columnar path hashes whole key
-  // columns up front); the hashless forms compute it on the spot.
+  // Allocation-free hot-path lookups; `hash` is HashTupleKey(t, port),
+  // computed once per delta by the caller.
   uint64_t HashTupleKey(const Tuple& t, int port) const;
   bool KeyMatches(const Bucket& b, const Tuple& t, int port) const;
-  Bucket* FindBucketFromTuple(const Tuple& t, int port);
   Bucket* FindBucketFromTuple(const Tuple& t, int port, uint64_t hash);
-  Bucket* FindOrCreateFromTuple(const Tuple& t, int port);
   Bucket* FindOrCreateFromTuple(const Tuple& t, int port, uint64_t hash);
 
   /// Emits `op`-annotated concatenations of `t` with every match in the
@@ -83,22 +78,12 @@ class HashJoinOp : public Operator {
                DeltaVec* out, uint64_t hash);
 
   Status ApplyStandard(int port, Delta d, DeltaVec* out);
-  Status ApplyStandard(int port, Delta d, DeltaVec* out, uint64_t hash);
   Status ApplyHandler(int port, const Delta& d, DeltaVec* out);
-  Status ApplyHandler(int port, const Delta& d, DeltaVec* out,
-                      uint64_t hash);
 
   Params params_;
   const JoinHandler* handler_ = nullptr;
   // Hash of key values -> bucket chain.
   FlatMap64<std::vector<Bucket>> buckets_;
-
-  /// Columnar plane: key hashes for an in-domain batch are computed
-  /// column-at-a-time before the per-row build/probe.
-  bool columnar_ = false;
-  Counter* batch_rows_ = nullptr;
-  Counter* batch_batches_ = nullptr;
-  Counter* batch_fallback_rows_ = nullptr;
 };
 
 }  // namespace rex

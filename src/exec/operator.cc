@@ -25,8 +25,6 @@ void Operator::SetExpectedPuncts(int port, int count) {
 Status Operator::Open(ExecContext* ctx) {
   ctx_ = ctx;
   tuples_processed_ = ctx->metrics->GetCounter(metrics::kTuplesProcessed);
-  profile_timing_ =
-      ctx->config != nullptr && ctx->config->profile_operators;
   return Status::OK();
 }
 
@@ -41,7 +39,6 @@ Status Operator::Consume(int port, DeltaVec deltas) {
   OperatorPortStats& stats = port_stats_[idx];
   stats.batches += 1;
   stats.tuples += static_cast<int64_t>(deltas.size());
-  if (!profile_timing_) return ConsumeDeltas(port, std::move(deltas));
   const auto start = std::chrono::steady_clock::now();
   Status status = ConsumeDeltas(port, std::move(deltas));
   stats.consume_nanos += std::chrono::duration_cast<std::chrono::nanoseconds>(

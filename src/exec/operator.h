@@ -78,8 +78,7 @@ class Operator {
   virtual Status Open(ExecContext* ctx);
 
   /// Processes a batch of deltas arriving on `port`. Non-virtual wrapper:
-  /// records per-port stats (batches, tuples, and — when
-  /// EngineConfig::profile_operators — wall time), then runs the
+  /// records per-port stats (batches, tuples, wall time) around the
   /// operator-specific ConsumeDeltas hook.
   Status Consume(int port, DeltaVec deltas);
 
@@ -161,7 +160,6 @@ class Operator {
 
   std::vector<OperatorPortStats> port_stats_;
   int64_t deltas_emitted_ = 0;
-  bool profile_timing_ = false;  // from EngineConfig::profile_operators
 };
 
 }  // namespace rex

@@ -63,50 +63,8 @@ Status ScanOp::RecoveryReload() {
 
 // -------------------------------------------------------------- FilterOp --
 
-Status FilterOp::Open(ExecContext* ctx) {
-  REX_RETURN_NOT_OK(Operator::Open(ctx));
-  columnar_ = ctx->config->columnar_batches;
-  compiled_.clear();
-  batch_rows_ = ctx->metrics->GetCounter(metrics::kBatchRows);
-  batch_batches_ = ctx->metrics->GetCounter(metrics::kBatchBatches);
-  batch_fallback_rows_ =
-      ctx->metrics->GetCounter(metrics::kBatchFallbackRows);
-  return Status::OK();
-}
-
 Status FilterOp::ConsumeDeltas(int, DeltaVec deltas) {
   tuples_processed_->Add(static_cast<int64_t>(deltas.size()));
-  if (columnar_ && !deltas.empty()) {
-    auto batch = DeltaBatch::FromDeltas(deltas);
-    if (batch.has_value()) {
-      std::vector<BatchColType> types = batch->ColumnTypes();
-      const std::optional<CompiledPredicate>* plan = nullptr;
-      for (const auto& [sig, compiled] : compiled_) {
-        if (sig == types) {
-          plan = &compiled;
-          break;
-        }
-      }
-      if (plan == nullptr) {
-        compiled_.emplace_back(types,
-                               CompiledPredicate::Compile(*predicate_, types));
-        plan = &compiled_.back().second;
-      }
-      if (plan->has_value()) {
-        batch_rows_->Add(static_cast<int64_t>(deltas.size()));
-        batch_batches_->Increment();
-        std::vector<uint8_t> mask;
-        (*plan)->Eval(*batch, &mask);
-        DeltaVec out;
-        out.reserve(deltas.size());
-        for (size_t i = 0; i < deltas.size(); ++i) {
-          if (mask[i] != 0) out.push_back(std::move(deltas[i]));
-        }
-        return Emit(std::move(out));
-      }
-    }
-    batch_fallback_rows_->Add(static_cast<int64_t>(deltas.size()));
-  }
   DeltaVec out;
   out.reserve(deltas.size());
   for (Delta& d : deltas) {
@@ -288,13 +246,27 @@ Status UnionOp::ConsumeDeltas(int, DeltaVec deltas) {
 
 Status SinkOp::ConsumeDeltas(int, DeltaVec deltas) {
   for (Delta& d : deltas) {
+    // The coalescer folds identical rows into one weighted delta, so the
+    // weight is a multiplicity, as on a join's buffered side: an insert of
+    // weight -w is a delete of weight w, and weight zero is a no-op.
+    if ((d.op == DeltaOp::kInsert || d.op == DeltaOp::kDelete) &&
+        d.weight == 0) {
+      continue;
+    }
+    REX_RETURN_NOT_OK(d.CanonicalizeSign());
     switch (d.op) {
       case DeltaOp::kInsert:
+        for (int64_t i = 1; i < d.weight; ++i) results_.Add(d.tuple);
+        results_.Add(std::move(d.tuple));
+        break;
       case DeltaOp::kUpdate:
+        // δ() carries an opaque handler weight: one copy.
         results_.Add(std::move(d.tuple));
         break;
       case DeltaOp::kDelete:
-        results_.Remove(d.tuple);
+        for (int64_t i = 0; i < d.weight; ++i) {
+          if (!results_.Remove(d.tuple)) break;
+        }
         break;
       case DeltaOp::kReplace:
         // Upsert: a -> whose old image never reached this sink (e.g. it
@@ -318,17 +290,11 @@ Status RehashOp::Open(ExecContext* ctx) {
                   DeltaVec());
   SetExpectedPuncts(1, ctx->pmap->num_workers());
   coalescer_.reset();
-  columnar_ = ctx->config->columnar_batches;
-  batch_rows_ = ctx->metrics->GetCounter(metrics::kBatchRows);
-  batch_batches_ = ctx->metrics->GetCounter(metrics::kBatchBatches);
-  batch_fallback_rows_ =
-      ctx->metrics->GetCounter(metrics::kBatchFallbackRows);
   if (ctx->config->coalesce_deltas && !params_.broadcast) {
     CoalesceOptions opts;
     opts.key_fields = params_.key_fields;
     opts.dedupe_idempotent = params_.idempotent_updates;
     opts.pack_runs = true;
-    opts.columnar = columnar_;
     coalescer_.emplace(std::move(opts));
     deltas_coalesced_ = ctx->metrics->GetCounter(metrics::kDeltasCoalesced);
     coalesce_bytes_saved_ =
@@ -352,7 +318,6 @@ Status RehashOp::FlushTo(int dest) {
     REX_ASSIGN_OR_RETURN(batch, coalescer_->Coalesce(std::move(batch), &stats));
     deltas_coalesced_->Add(stats.folded);
     coalesce_bytes_saved_->Add(stats.bytes_saved);
-    if (stats.columnar_rows > 0) batch_rows_->Add(stats.columnar_rows);
     if (batch.empty()) return Status::OK();  // fully annihilated
   }
   return ctx_->network->Send(
@@ -381,12 +346,8 @@ Status RehashOp::Route(Delta d, DeltaVec* local) {
     }
     return Status::OK();
   }
-  const uint64_t h = PartitionHash(d.tuple, params_.key_fields);
-  return RouteHashed(std::move(d), h, local);
-}
-
-Status RehashOp::RouteHashed(Delta d, uint64_t h, DeltaVec* local) {
-  const int dest = ctx_->pmap->PrimaryOwner(h);
+  const int dest =
+      ctx_->pmap->PrimaryOwner(PartitionHash(d.tuple, params_.key_fields));
   if (dest == ctx_->worker_id) {
     local->push_back(std::move(d));
     return Status::OK();
@@ -405,28 +366,11 @@ Status RehashOp::ConsumeDeltas(int port, DeltaVec deltas) {
     return Emit(std::move(deltas));
   }
   tuples_processed_->Add(static_cast<int64_t>(deltas.size()));
-  std::vector<uint64_t> hashes;  // filled when the batch hashes columnar
-  if (columnar_ && !params_.broadcast && !params_.key_fields.empty() &&
-      !deltas.empty()) {
-    auto batch = DeltaBatch::FromDeltas(deltas);
-    if (batch.has_value() && batch->KeyFieldsInRange(params_.key_fields)) {
-      batch_rows_->Add(static_cast<int64_t>(deltas.size()));
-      batch_batches_->Increment();
-      PartitionHashRows(*batch, params_.key_fields, &hashes);
-    } else {
-      batch_fallback_rows_->Add(static_cast<int64_t>(deltas.size()));
-    }
-  }
   // Rows this worker owns go downstream as one batch at the end of the
   // call, uncoalesced and in input order. They are not held for FlushAll:
   // a recovery reload emits data with no punctuation behind it.
   DeltaVec local;
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    REX_RETURN_NOT_OK(
-        hashes.empty()
-            ? Route(std::move(deltas[i]), &local)
-            : RouteHashed(std::move(deltas[i]), hashes[i], &local));
-  }
+  for (Delta& d : deltas) REX_RETURN_NOT_OK(Route(std::move(d), &local));
   return Emit(std::move(local));
 }
 

@@ -10,12 +10,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/delta_batch.h"
 #include "exec/coalesce.h"
 #include "exec/expr.h"
 #include "exec/operator.h"
 #include "exec/tuple_set.h"
-#include "exec/vectorized.h"
 
 namespace rex {
 
@@ -57,32 +55,17 @@ class ScanOp : public Operator {
 };
 
 /// σ: drops deltas whose tuple fails the predicate, applying the standard
-/// delta rules for replacements (old/new may pass independently). When the
-/// columnar plane is on, batches inside the fast-path domain evaluate the
-/// predicate whole-column through a compiled plan (cached per column-type
-/// signature); everything else takes the scalar row loop.
+/// delta rules for replacements (old/new may pass independently).
 class FilterOp : public Operator {
  public:
   FilterOp(int id, ExprPtr predicate)
       : Operator(id, 1), predicate_(std::move(predicate)) {}
 
   const char* name() const override { return "filter"; }
-  Status Open(ExecContext* ctx) override;
   Status ConsumeDeltas(int port, DeltaVec deltas) override;
 
  private:
   ExprPtr predicate_;
-
-  bool columnar_ = false;
-  /// Compile cache: one entry per column-type signature seen (in practice
-  /// a filter sees exactly one schema). nullopt compiled form = this
-  /// predicate cannot vectorize over that signature.
-  std::vector<std::pair<std::vector<BatchColType>,
-                        std::optional<CompiledPredicate>>>
-      compiled_;
-  Counter* batch_rows_ = nullptr;
-  Counter* batch_batches_ = nullptr;
-  Counter* batch_fallback_rows_ = nullptr;
 };
 
 /// π: maps each delta's tuple(s) through a list of expressions.
@@ -154,7 +137,8 @@ class UnionOp : public Operator {
 };
 
 /// Terminal collector: applies deltas onto a result set the driver reads
-/// after the query (the requestor's union of per-node results).
+/// after the query (the requestor's union of per-node results). The result
+/// set is a bag: a +() of weight w adds w copies and a -() removes w.
 class SinkOp : public Operator {
  public:
   explicit SinkOp(int id) : Operator(id, 1) {}
@@ -203,9 +187,6 @@ class RehashOp : public Operator {
   /// Routes one delta: rows for other workers join their pending buffer,
   /// rows this worker owns are appended to `local`.
   Status Route(Delta d, DeltaVec* local);
-  /// Routing tail shared by the scalar and columnar paths: `h` is the
-  /// delta's PartitionHash.
-  Status RouteHashed(Delta d, uint64_t h, DeltaVec* local);
   Status FlushTo(int dest);
   Status FlushAll();
 
@@ -219,14 +200,6 @@ class RehashOp : public Operator {
   std::optional<DeltaCoalescer> coalescer_;
   Counter* deltas_coalesced_ = nullptr;
   Counter* coalesce_bytes_saved_ = nullptr;
-
-  /// Columnar plane: partition hashes for an in-domain batch are computed
-  /// column-at-a-time before routing (strings hash once per distinct
-  /// interned value).
-  bool columnar_ = false;
-  Counter* batch_rows_ = nullptr;
-  Counter* batch_batches_ = nullptr;
-  Counter* batch_fallback_rows_ = nullptr;
 };
 
 }  // namespace rex

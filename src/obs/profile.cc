@@ -135,8 +135,6 @@ Json QueryProfile::ToJson() const {
   out.Set("tuples_sent", tuples_sent);
   out.Set("deltas_coalesced", deltas_coalesced);
   out.Set("coalesce_bytes_saved", coalesce_bytes_saved);
-  out.Set("batch_rows", batch_rows);
-  out.Set("batch_fallback_rows", batch_fallback_rows);
   out.Set("ckpt_raw_bytes", ckpt_raw_bytes);
   out.Set("ckpt_stored_bytes", ckpt_stored_bytes);
   return out;
@@ -226,8 +224,6 @@ Status ValidateProfileJson(const Json& profile) {
   REX_RETURN_NOT_OK(RequireInt(profile, "tuples_sent"));
   REX_RETURN_NOT_OK(RequireInt(profile, "deltas_coalesced"));
   REX_RETURN_NOT_OK(RequireInt(profile, "coalesce_bytes_saved"));
-  REX_RETURN_NOT_OK(RequireInt(profile, "batch_rows"));
-  REX_RETURN_NOT_OK(RequireInt(profile, "batch_fallback_rows"));
   REX_RETURN_NOT_OK(RequireInt(profile, "ckpt_raw_bytes"));
   REX_RETURN_NOT_OK(RequireInt(profile, "ckpt_stored_bytes"));
   return Status::OK();

@@ -110,12 +110,6 @@ struct QueryProfile {
   int64_t deltas_coalesced = 0;    // deltas folded away before shipping
   int64_t coalesce_bytes_saved = 0;  // wire bytes the folding saved
 
-  /// Columnar-plane meters: rows a vectorized batch kernel handled vs rows
-  /// that fell back to the scalar path (the ablation benches assert the
-  /// fast path actually engaged).
-  int64_t batch_rows = 0;
-  int64_t batch_fallback_rows = 0;
-
   /// Differential-compression meters (Fig. 11's raw-vs-stored ablation):
   /// checkpoint epochs before/after delta-chain encoding. raw == stored
   /// when the codec is off or never profitable.

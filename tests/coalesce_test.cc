@@ -211,23 +211,21 @@ TEST(DeltaCoalescerTest, DedupeIgnoresAnnihilatedInserts) {
 
 // -------------------------------------------------------- fold-free check --
 
-/// Every {columnar, pack_runs, dedupe_idempotent} combination over `keys`.
+/// Every {pack_runs, dedupe_idempotent} combination over `keys`.
 std::vector<CoalesceOptions> AllOptionCombos(const std::vector<int>& keys) {
   std::vector<CoalesceOptions> combos;
-  for (int bits = 0; bits < 8; ++bits) {
+  for (int bits = 0; bits < 4; ++bits) {
     CoalesceOptions opts;
     opts.key_fields = keys;
-    opts.columnar = (bits & 1) != 0;
-    opts.pack_runs = (bits & 2) != 0;
-    opts.dedupe_idempotent = (bits & 4) != 0;
+    opts.pack_runs = (bits & 1) != 0;
+    opts.dedupe_idempotent = (bits & 2) != 0;
     combos.push_back(opts);
   }
   return combos;
 }
 
 std::string ComboName(const CoalesceOptions& opts) {
-  return std::string(" [columnar=") + (opts.columnar ? "1" : "0") +
-         " pack=" + (opts.pack_runs ? "1" : "0") +
+  return std::string(" [pack=") + (opts.pack_runs ? "1" : "0") +
          " dedupe=" + (opts.dedupe_idempotent ? "1" : "0") + "]";
 }
 
@@ -238,10 +236,9 @@ int64_t Bytes(const DeltaVec& v) {
 }
 
 /// A stream no key repeats in, of deltas with weights 1-3: a mix of
-/// +()/-()/δ(), or only +()/-(), or only δ() (the last two are the shapes
-/// the columnar fold accepts). Keyed streams (key = field 0) draw distinct
-/// int or string keys; keyless streams draw distinct whole tuples, so
-/// field 0 alone may repeat.
+/// +()/-()/δ(), or only +()/-(), or only δ(). Keyed streams (key = field 0)
+/// draw distinct int or string keys; keyless streams draw distinct whole
+/// tuples, so field 0 alone may repeat.
 DeltaVec RandomFoldFreeStream(Rng* rng, bool keyed) {
   static constexpr DeltaOp kOps[] = {DeltaOp::kInsert, DeltaOp::kDelete,
                                      DeltaOp::kUpdate};
@@ -284,8 +281,6 @@ TEST(DeltaCoalescerTest, FoldFreeStreamsComeBackUntouched) {
       EXPECT_EQ(stats.bytes_saved, 0);
       EXPECT_EQ(stats.deltas_in, n);
       EXPECT_EQ(stats.deltas_out, n);
-      // The check is the only work done: no columnar fold ran.
-      EXPECT_EQ(stats.columnar_rows, 0);
     }
   }
 }

@@ -1,13 +1,19 @@
 // Operator-level unit tests: delta propagation rules through filter,
 // project, join, group-by, and fixpoint (§3.3), plus applyFunction caching
-// and batching.
+// and batching, and regressions in the aggregate and TupleSet helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
+#include "exec/aggregates.h"
 #include "exec/expr.h"
 #include "exec/fixpoint.h"
 #include "exec/group_by.h"
 #include "exec/hash_join.h"
 #include "exec/operators.h"
+#include "exec/tuple_set.h"
 
 namespace rex {
 namespace {
@@ -538,6 +544,123 @@ TEST(ApplyFnOpTest, BatchingDefersUntilPunctuation) {
   ASSERT_TRUE(apply.OnPunct(0, Eos()).ok());
   EXPECT_EQ(capture.captured.size(), 2u);  // flushed before forwarding
   ASSERT_EQ(capture.puncts.size(), 1u);
+}
+
+// ------------------------------------------------------------------- Sink --
+
+TEST(SinkOpTest, WeightsAreMultiplicities) {
+  OpHarness h;
+  SinkOp sink(0);
+  ASSERT_TRUE(sink.Open(h.ctx()).ok());
+  auto weighted = [](DeltaOp op, int64_t v, int64_t w) {
+    Delta d;
+    d.op = op;
+    d.tuple = Tuple{Value(v)};
+    d.weight = w;
+    return d;
+  };
+  auto copies = [&sink](int64_t v) {
+    return std::count(sink.results().begin(), sink.results().end(),
+                      Tuple{Value(v)});
+  };
+  DeltaVec in;
+  in.push_back(weighted(DeltaOp::kInsert, 1, 3));   // three copies
+  in.push_back(weighted(DeltaOp::kDelete, 1, 2));   // leaves one
+  in.push_back(weighted(DeltaOp::kDelete, 2, -2));  // -() of -2 adds two
+  in.push_back(weighted(DeltaOp::kInsert, 2, -1));  // +() of -1 removes one
+  in.push_back(weighted(DeltaOp::kInsert, 3, 0));   // no-op
+  in.push_back(weighted(DeltaOp::kUpdate, 4, 5));   // δ(): one copy
+  ASSERT_TRUE(sink.Consume(0, std::move(in)).ok());
+  EXPECT_EQ(copies(1), 1);
+  EXPECT_EQ(copies(2), 1);
+  EXPECT_EQ(copies(3), 0);
+  EXPECT_EQ(copies(4), 1);
+  EXPECT_EQ(sink.results().size(), 3u);
+
+  Status st = sink.Consume(0, {weighted(DeltaOp::kInsert, 5, INT64_MIN)});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------------------ Aggregates, TupleSet --
+
+// Regression: avg() accumulated int inputs in a double, silently drifting
+// once the exact sum left the 2^53 integer range. All-int groups now fold
+// through an exact int64 sum (mirroring sum()'s fast path).
+TEST(AggregatesRegressionTest, AvgStaysExactBeyondDoublePrecision) {
+  const AggFunction* avg = GetAggFunction(AggKind::kAvg);
+  auto state = avg->NewState();
+  const int64_t big = 1LL << 53;  // 9007199254740992
+  ASSERT_TRUE(avg->Insert(state.get(), Value(big)).ok());
+  ASSERT_TRUE(avg->Insert(state.get(), Value(static_cast<int64_t>(1))).ok());
+  ASSERT_TRUE(avg->Insert(state.get(), Value(static_cast<int64_t>(1))).ok());
+  auto got = avg->Current(state.get());
+  ASSERT_TRUE(got.ok());
+  // Exact: (2^53 + 2) / 3 via the int accumulator. The double accumulator
+  // loses both +1 contributions (2^53 + 1 rounds back to 2^53).
+  EXPECT_EQ(got->AsDouble(), static_cast<double>(big + 2) / 3.0);
+  EXPECT_NE(got->AsDouble(), static_cast<double>(big) / 3.0);
+}
+
+TEST(AggregatesRegressionTest, AvgIntPathSurvivesDeletesAndWeights) {
+  const AggFunction* avg = GetAggFunction(AggKind::kAvg);
+  auto state = avg->NewState();
+  ASSERT_TRUE(
+      avg->ApplyWeighted(state.get(), Value(int64_t{1LL << 53}), 1).ok());
+  ASSERT_TRUE(avg->ApplyWeighted(state.get(), Value(int64_t{1}), 4).ok());
+  ASSERT_TRUE(avg->ApplyWeighted(state.get(), Value(int64_t{1}), -2).ok());
+  auto got = avg->Current(state.get());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->AsDouble(), static_cast<double>((1LL << 53) + 2) / 3.0);
+}
+
+TEST(AggregatesRegressionTest, AvgIntOverflowSurfacesError) {
+  const AggFunction* avg = GetAggFunction(AggKind::kAvg);
+  auto state = avg->NewState();
+  ASSERT_TRUE(avg->Insert(state.get(), Value(INT64_MAX)).ok());
+  Status st = avg->Insert(state.get(), Value(INT64_MAX));
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("avg() overflow"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(AggregatesRegressionTest, AvgMixedIntDoubleFallsBackToDoubleSum) {
+  const AggFunction* avg = GetAggFunction(AggKind::kAvg);
+  auto state = avg->NewState();
+  ASSERT_TRUE(avg->Insert(state.get(), Value(static_cast<int64_t>(3))).ok());
+  ASSERT_TRUE(avg->Insert(state.get(), Value(1.5)).ok());
+  auto got = avg->Current(state.get());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->AsDouble(), (3.0 + 1.5) / 2.0);
+}
+
+// Regression: Replace used to append the replacement on a miss while
+// returning false — upserting callers now must opt in via ReplaceOrInsert.
+TEST(TupleSetRegressionTest, ReplaceIsStrictAndReplaceOrInsertUpserts) {
+  TupleSet s;
+  s.Add(Tuple{Value(static_cast<int64_t>(1)), Value("a")});
+  const Tuple missing{Value(static_cast<int64_t>(2)), Value("b")};
+  EXPECT_FALSE(s.Replace(missing, missing));
+  EXPECT_EQ(s.size(), 1u);  // the old code left size() == 2 here
+  EXPECT_FALSE(s.ReplaceOrInsert(missing, missing));
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_TRUE(s.ReplaceOrInsert(
+      missing, Tuple{Value(static_cast<int64_t>(2)), Value("c")}));
+  EXPECT_EQ(s.size(), 2u);
+  ASSERT_NE(s.Find(Value(static_cast<int64_t>(2))), nullptr);
+  EXPECT_EQ(s.Find(Value(static_cast<int64_t>(2)))->field(1), Value("c"));
+}
+
+// Regression: a negative field index used to wrap through
+// static_cast<size_t> and scan garbage (silent miss at best, OOB read at
+// worst). It now aborts loudly.
+TEST(TupleSetDeathTest, NegativeFieldIndexAborts) {
+  TupleSet s;
+  s.Add(Tuple{Value(static_cast<int64_t>(1)), Value(static_cast<int64_t>(2))});
+  EXPECT_DEATH(s.Find(Value(static_cast<int64_t>(1)), -1),
+               "negative field index");
+  EXPECT_DEATH(
+      s.Get(Value(static_cast<int64_t>(1)), /*value_field=*/-2),
+      "negative field index");
 }
 
 }  // namespace
