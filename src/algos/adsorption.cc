@@ -40,18 +40,16 @@ JoinHandler MakeAdsorbJoin(const AdsorptionConfig& config) {
   h.name = "AdsorbJoin" + config.name_suffix;
   const double damping = config.damping;
   h.update = [damping](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
-                       const Delta& d) -> Result<DeltaVec> {
+                       const Delta& d, DeltaSink* out) -> Status {
     REX_ASSIGN_OR_RETURN(double diff, d.tuple.field(2).ToDouble());
-    DeltaVec out;
     const size_t outdeg = graph_bucket->size();
-    if (outdeg == 0) return out;
+    if (outdeg == 0) return Status::OK();
     const double share = damping * diff / static_cast<double>(outdeg);
-    out.reserve(outdeg);
     for (const Tuple& edge : *graph_bucket) {
-      out.push_back(Delta::Update(
-          Tuple{edge.field(1), d.tuple.field(1), Value(share)}));
+      const Value row[] = {edge.field(1), d.tuple.field(1), Value(share)};
+      REX_RETURN_NOT_OK(out->AddRow(DeltaOp::kUpdate, row, 1));
     }
-    return out;
+    return Status::OK();
   };
   return h;
 }

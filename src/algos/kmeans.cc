@@ -44,7 +44,7 @@ JoinHandler MakeKmJoin(const KMeansConfig& config) {
   JoinHandler h;
   h.name = "KMJoin" + config.name_suffix;
   h.update = [](TupleSet* centroid_bucket, TupleSet* point_bucket,
-                const Delta& d) -> Result<DeltaVec> {
+                const Delta& d, DeltaSink* out) -> Status {
     if (d.tuple.size() < 4) {
       return Status::InvalidArgument("KMJoin expects (key, cid, cx, cy)");
     }
@@ -64,7 +64,6 @@ JoinHandler MakeKmJoin(const KMeansConfig& config) {
     }
     if (!found) centroid_bucket->Add(d.tuple);
 
-    DeltaVec out;
     for (Tuple& p : *point_bucket) {
       // Extend scanned (key, pid, x, y) rows with assignment state.
       while (p.size() < 6) {
@@ -98,16 +97,16 @@ JoinHandler MakeKmJoin(const KMeansConfig& config) {
       }
       p.field(kCid) = Value(new_cid);
       p.field(kDist) = Value(new_d);
-      out.push_back(
-          Delta::Update(Tuple{Value(new_cid), Value(x), Value(y),
-                              Value(int64_t{1})}));
+      const Value enter[] = {Value(new_cid), Value(x), Value(y),
+                             Value(int64_t{1})};
+      REX_RETURN_NOT_OK(out->AddRow(DeltaOp::kUpdate, enter, 1));
       if (old_cid >= 0) {
-        out.push_back(
-            Delta::Update(Tuple{Value(old_cid), Value(-x), Value(-y),
-                                Value(int64_t{-1})}));
+        const Value leave[] = {Value(old_cid), Value(-x), Value(-y),
+                               Value(int64_t{-1})};
+        REX_RETURN_NOT_OK(out->AddRow(DeltaOp::kUpdate, leave, 1));
       }
     }
-    return out;
+    return Status::OK();
   };
   return h;
 }

@@ -48,17 +48,16 @@ JoinHandler MakePrJoin(const PageRankConfig& config) {
   h.name = "PRJoin" + config.name_suffix;
   const double damping = config.damping;
   h.update = [damping](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
-                       const Delta& d) -> Result<DeltaVec> {
+                       const Delta& d, DeltaSink* out) -> Status {
     REX_ASSIGN_OR_RETURN(double diff, d.tuple.field(1).ToDouble());
-    DeltaVec out;
     const size_t outdeg = graph_bucket->size();
-    if (outdeg == 0) return out;  // generator guarantees outdeg >= 1
+    if (outdeg == 0) return Status::OK();  // generator guarantees outdeg >= 1
     const double share = damping * diff / static_cast<double>(outdeg);
-    out.reserve(outdeg);
     for (const Tuple& edge : *graph_bucket) {
-      out.push_back(Delta::Update(Tuple{edge.field(1), Value(share)}));
+      const Value row[] = {edge.field(1), Value(share)};
+      REX_RETURN_NOT_OK(out->AddRow(DeltaOp::kUpdate, row, 1));
     }
-    return out;
+    return Status::OK();
   };
   return h;
 }
@@ -71,20 +70,19 @@ JoinHandler MakePrJoinFull(const PageRankConfig& config) {
   h.name = "PRJoinFull" + config.name_suffix;
   const double damping = config.damping;
   h.update = [damping](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
-                       const Delta& d) -> Result<DeltaVec> {
+                       const Delta& d, DeltaSink* out) -> Status {
     const Value& v = d.tuple.field(0);
     REX_ASSIGN_OR_RETURN(double rank, d.tuple.field(1).ToDouble());
-    DeltaVec out;
     const size_t outdeg = graph_bucket->size();
-    out.reserve(outdeg + 1);
     if (outdeg > 0) {
       const double share = damping * rank / static_cast<double>(outdeg);
       for (const Tuple& edge : *graph_bucket) {
-        out.push_back(Delta::Update(Tuple{edge.field(1), Value(share)}));
+        const Value row[] = {edge.field(1), Value(share)};
+        REX_RETURN_NOT_OK(out->AddRow(DeltaOp::kUpdate, row, 1));
       }
     }
-    out.push_back(Delta::Update(Tuple{v, Value(0.0)}));
-    return out;
+    const Value self[] = {v, Value(0.0)};
+    return out->AddRow(DeltaOp::kUpdate, self, 1);
   };
   return h;
 }

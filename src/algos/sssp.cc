@@ -27,14 +27,13 @@ JoinHandler MakeSpJoin(const SsspConfig& config) {
   JoinHandler h;
   h.name = "SPJoin" + config.name_suffix;
   h.update = [](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
-                const Delta& d) -> Result<DeltaVec> {
+                const Delta& d, DeltaSink* out) -> Status {
     REX_ASSIGN_OR_RETURN(int64_t dist, d.tuple.field(1).ToInt());
-    DeltaVec out;
-    out.reserve(graph_bucket->size());
     for (const Tuple& edge : *graph_bucket) {
-      out.push_back(Delta::Update(Tuple{edge.field(1), Value(dist + 1)}));
+      const Value row[] = {edge.field(1), Value(dist + 1)};
+      REX_RETURN_NOT_OK(out->AddRow(DeltaOp::kUpdate, row, 1));
     }
-    return out;
+    return Status::OK();
   };
   return h;
 }

@@ -83,4 +83,16 @@ DeltaVec AsInsertions(std::vector<Tuple> tuples) {
   return out;
 }
 
+Status DeltaVecSink::AddDelta(Delta d) {
+  out_->push_back(std::move(d));
+  return Status::OK();
+}
+
+Status DeltaVecSink::AddPlainRow(DeltaOp op, std::span<const Value> row,
+                                 int64_t weight) {
+  out_->push_back(
+      Delta{op, Tuple(std::vector<Value>(row.begin(), row.end())), {}, weight});
+  return Status::OK();
+}
+
 }  // namespace rex

@@ -15,6 +15,7 @@
 #define REX_COMMON_DELTA_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,6 +126,59 @@ using DeltaVec = std::vector<Delta>;
 
 /// Wraps plain tuples as insertions (the base, non-incremental case).
 DeltaVec AsInsertions(std::vector<Tuple> tuples);
+
+/// Where a producer writes its output deltas, one at a time. A hash join
+/// hands one to its handler; when the join is fused into a same-worker
+/// group-by (DESIGN.md "Group-join"), the sink folds each row straight into
+/// the group's accumulators instead of buffering it.
+class DeltaSink {
+ public:
+  virtual ~DeltaSink() = default;
+
+  /// Takes any delta.
+  Status Add(Delta d) {
+    ++taken_;
+    return AddDelta(std::move(d));
+  }
+
+  /// Takes one plain row: the same as Add(Delta{op, Tuple(row), {}, weight})
+  /// for a +(), -() or δ(), but a fused consumer folds it without building
+  /// a Tuple. A ->() needs its old tuple and goes through Add.
+  Status AddRow(DeltaOp op, std::span<const Value> row, int64_t weight) {
+    if (op == DeltaOp::kReplace || op == DeltaOp::kBatch) {
+      return Status::InvalidArgument(
+          std::string("AddRow takes a plain row, not a ") + DeltaOpName(op) +
+          " delta");
+    }
+    ++taken_;
+    return AddPlainRow(op, row, weight);
+  }
+
+  /// Deltas and rows taken so far.
+  int64_t taken() const { return taken_; }
+
+ protected:
+  virtual Status AddDelta(Delta d) = 0;
+  virtual Status AddPlainRow(DeltaOp op, std::span<const Value> row,
+                             int64_t weight) = 0;
+
+ private:
+  int64_t taken_ = 0;
+};
+
+/// A DeltaSink that appends to a DeltaVec.
+class DeltaVecSink final : public DeltaSink {
+ public:
+  explicit DeltaVecSink(DeltaVec* out) : out_(out) {}
+
+ protected:
+  Status AddDelta(Delta d) override;
+  Status AddPlainRow(DeltaOp op, std::span<const Value> row,
+                     int64_t weight) override;
+
+ private:
+  DeltaVec* out_;
+};
 
 }  // namespace rex
 

@@ -14,25 +14,23 @@ JoinHandler MakeXJoin(const DbmsXConfig& config) {
   h.name = "XJoinPR" + config.name_suffix;
   const double damping = config.damping;
   h.update = [damping](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
-                       const Delta& d) -> Result<DeltaVec> {
+                       const Delta& d, DeltaSink* out) -> Status {
     if (d.tuple.size() < 3) {
       return Status::InvalidArgument("XJoinPR expects (v, rank, iter)");
     }
     const Value& v = d.tuple.field(0);
     REX_ASSIGN_OR_RETURN(double rank, d.tuple.field(1).ToDouble());
     REX_ASSIGN_OR_RETURN(int64_t iter, d.tuple.field(2).ToInt());
-    DeltaVec out;
     const size_t outdeg = graph_bucket->size();
-    out.reserve(outdeg + 1);
     if (outdeg > 0) {
       const double share = damping * rank / static_cast<double>(outdeg);
       for (const Tuple& edge : *graph_bucket) {
-        out.push_back(Delta::Update(
-            Tuple{edge.field(1), Value(share), Value(iter + 1)}));
+        const Value row[] = {edge.field(1), Value(share), Value(iter + 1)};
+        REX_RETURN_NOT_OK(out->AddRow(DeltaOp::kUpdate, row, 1));
       }
     }
-    out.push_back(Delta::Update(Tuple{v, Value(0.0), Value(iter + 1)}));
-    return out;
+    const Value self[] = {v, Value(0.0), Value(iter + 1)};
+    return out->AddRow(DeltaOp::kUpdate, self, 1);
   };
   return h;
 }

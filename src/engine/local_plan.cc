@@ -78,6 +78,20 @@ Result<std::unique_ptr<LocalPlan>> LocalPlan::Instantiate(
       plan->scans_.push_back(scan);
     }
   }
+
+  // Group-join (DESIGN.md "Group-join"): a join whose only out-edge goes to
+  // an operator with a fused input, a built-in group-by, folds its output
+  // rows straight into that operator instead of buffering and Emit-ing.
+  std::vector<int> out_edges(plan->ops_.size(), 0);
+  for (const Edge& e : plan->edges_) out_edges[static_cast<size_t>(e.from)]++;
+  for (const Edge& e : plan->edges_) {
+    auto* join = dynamic_cast<HashJoinOp*>(plan->op(e.from));
+    Operator* consumer = plan->op(e.to);
+    if (join != nullptr && out_edges[static_cast<size_t>(e.from)] == 1 &&
+        consumer->fused_input() != nullptr) {
+      join->FuseInto(consumer, e.to_port);
+    }
+  }
   return plan;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <vector>
 
 namespace rex {
 
@@ -70,6 +71,9 @@ class SumFunction : public AggFunction {
   std::unique_ptr<AggState> NewState() const override {
     return std::make_unique<SumState>();
   }
+  void Reset(AggState* state) const override {
+    *static_cast<SumState*>(state) = SumState();
+  }
   Status Insert(AggState* state, const Value& v) const override {
     return Apply(state, v, +1);
   }
@@ -134,6 +138,9 @@ class CountFunction : public AggFunction {
   std::unique_ptr<AggState> NewState() const override {
     return std::make_unique<CountState>();
   }
+  void Reset(AggState* state) const override {
+    static_cast<CountState*>(state)->count = 0;
+  }
   Status Insert(AggState* state, const Value&) const override {
     static_cast<CountState*>(state)->count += 1;
     return Status::OK();
@@ -174,6 +181,9 @@ class AvgFunction : public AggFunction {
  public:
   std::unique_ptr<AggState> NewState() const override {
     return std::make_unique<AvgState>();
+  }
+  void Reset(AggState* state) const override {
+    *static_cast<AvgState*>(state) = AvgState();
   }
   Status Insert(AggState* state, const Value& v) const override {
     return Apply(state, v, +1);
@@ -238,9 +248,15 @@ class AvgFunction : public AggFunction {
 };
 
 /// min/max buffer all values: deleting the current extremum must surface
-/// the next one (§3.3).
+/// the next one (§3.3). Inserts append to `pending` and track the current
+/// extremum's index there; the ordered multiset is built from `pending`
+/// only when the first delete arrives, so an insert-only group (a
+/// pre-aggregate's, for one) allocates no tree node per input.
 struct MinMaxState : AggState {
+  std::vector<Value> pending;
+  size_t best = 0;  // Current()'s index in `pending`
   std::multiset<Value> values;
+  bool ordered = false;  // `values` holds the state; `pending` is empty
 };
 
 class MinMaxFunction : public AggFunction {
@@ -250,13 +266,38 @@ class MinMaxFunction : public AggFunction {
   std::unique_ptr<AggState> NewState() const override {
     return std::make_unique<MinMaxState>();
   }
+  void Reset(AggState* state) const override {
+    auto* s = static_cast<MinMaxState*>(state);
+    s->pending.clear();
+    s->best = 0;
+    s->values.clear();
+    s->ordered = false;
+  }
   Status Insert(AggState* state, const Value& v) const override {
-    if (!v.is_null()) static_cast<MinMaxState*>(state)->values.insert(v);
+    if (v.is_null()) return Status::OK();
+    auto* s = static_cast<MinMaxState*>(state);
+    if (s->ordered) {
+      s->values.insert(v);
+      return Status::OK();
+    }
+    // A multiset inserts a value after the ones it compares equal to
+    // (1 and 1.0), so its begin() is the first minimum and its rbegin()
+    // the last maximum; track exactly those.
+    if (s->pending.empty() ||
+        (is_min_ ? v < s->pending[s->best] : !(v < s->pending[s->best]))) {
+      s->best = s->pending.size();
+    }
+    s->pending.push_back(v);
     return Status::OK();
   }
   Status Delete(AggState* state, const Value& v) const override {
     if (v.is_null()) return Status::OK();
     auto* s = static_cast<MinMaxState*>(state);
+    if (!s->ordered) {
+      for (Value& p : s->pending) s->values.insert(std::move(p));
+      s->pending.clear();
+      s->ordered = true;
+    }
     auto it = s->values.find(v);
     if (it == s->values.end()) {
       return Status::NotFound("delete of value not in min/max state: " +
@@ -267,12 +308,17 @@ class MinMaxFunction : public AggFunction {
   }
   Result<Value> Current(const AggState* state) const override {
     const auto* s = static_cast<const MinMaxState*>(state);
+    if (!s->ordered) {
+      if (s->pending.empty()) return Value::Null();
+      return s->pending[s->best];
+    }
     if (s->values.empty()) return Value::Null();
     return is_min_ ? *s->values.begin() : *s->values.rbegin();
   }
   int64_t Count(const AggState* state) const override {
-    return static_cast<int64_t>(
-        static_cast<const MinMaxState*>(state)->values.size());
+    const auto* s = static_cast<const MinMaxState*>(state);
+    return static_cast<int64_t>(s->ordered ? s->values.size()
+                                           : s->pending.size());
   }
   ValueType ResultType(ValueType input_type) const override {
     return input_type;

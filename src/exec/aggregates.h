@@ -3,7 +3,9 @@
 // The standard operators (min, max, sum, average, count) automatically
 // handle insertion, deletion, and replacement deltas. Deletion from min/max
 // requires the buffered multiset the paper describes: "it must determine
-// the next-smallest value (which needs to be in its buffered state)".
+// the next-smallest value (which needs to be in its buffered state)". The
+// multiset is built lazily, at a group's first deletion: until then the
+// inputs sit in a plain vector with the current extremum tracked beside it.
 #ifndef REX_EXEC_AGGREGATES_H_
 #define REX_EXEC_AGGREGATES_H_
 
@@ -35,6 +37,9 @@ class AggFunction {
   virtual ~AggFunction() = default;
 
   virtual std::unique_ptr<AggState> NewState() const = 0;
+  /// Returns `state` to NewState()'s value, keeping any buffer capacity (a
+  /// stratum-mode group-by recycles its groups' states).
+  virtual void Reset(AggState* state) const = 0;
   virtual Status Insert(AggState* state, const Value& v) const = 0;
   virtual Status Delete(AggState* state, const Value& v) const = 0;
   /// Applies `v` with ℤ-set multiplicity `w`: +w ≡ w inserts, -w ≡ w

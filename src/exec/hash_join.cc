@@ -102,25 +102,25 @@ HashJoinOp::Bucket* HashJoinOp::FindOrCreate(const std::vector<Value>& key,
 }
 
 Status HashJoinOp::Probe(int port, const Tuple& t, DeltaOp op,
-                         int64_t weight, DeltaVec* out, uint64_t hash) {
+                         int64_t weight, DeltaSink* out, uint64_t hash) {
   Bucket* b = FindBucketFromTuple(t, port, hash);
   if (b == nullptr) return Status::OK();
   const int other = 1 - port;
   for (const Tuple& match : b->side[other]) {
-    Tuple joined = port == 0 ? t.Concat(match) : match.Concat(t);
-    Delta d;
-    d.op = op;
-    d.tuple = std::move(joined);
+    const Tuple& left = port == 0 ? t : match;
+    const Tuple& right = port == 0 ? match : t;
+    joined_.assign(left.fields().begin(), left.fields().end());
+    joined_.insert(joined_.end(), right.fields().begin(),
+                   right.fields().end());
     // The join is bilinear in ℤ-sets: Δ(L ⋈ R) for a weighted change on
     // one side is the change's weight times each opposite-side match
     // (whose own multiplicity is the physical copy count iterated here).
-    d.weight = weight;
-    out->push_back(std::move(d));
+    REX_RETURN_NOT_OK(out->AddRow(op, joined_, weight));
   }
   return Status::OK();
 }
 
-Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaVec* out) {
+Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaSink* out) {
   const bool immutable_side = params_.immutable[port];
   // Canonicalize the set plane: insert of weight -w is a delete of weight
   // w, and weight zero is a no-op everywhere.
@@ -177,7 +177,7 @@ Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaVec* out) {
               port == 0 ? d.tuple.Concat(match) : match.Concat(d.tuple);
           rd.old_tuple = port == 0 ? d.old_tuple.Concat(match)
                                    : match.Concat(d.old_tuple);
-          out->push_back(std::move(rd));
+          REX_RETURN_NOT_OK(out->Add(std::move(rd)));
         }
         return Status::OK();
       }
@@ -193,32 +193,42 @@ Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaVec* out) {
   return Status::Internal("unhandled delta op in join");
 }
 
-Status HashJoinOp::ApplyHandler(int port, const Delta& d, DeltaVec* out) {
+Status HashJoinOp::ApplyHandler(int port, const Delta& d, DeltaSink* out) {
   Bucket* b =
       FindOrCreateFromTuple(d.tuple, port, HashTupleKey(d.tuple, port));
   // The handler sees the bucket its delta arrived into first, then the
   // opposite side (the paper's LEFTBUCKET/RIGHTBUCKET convention).
-  REX_ASSIGN_OR_RETURN(DeltaVec produced,
-                       handler_->update(&b->side[port], &b->side[1 - port],
-                                        d));
-  for (Delta& p : produced) out->push_back(std::move(p));
-  return Status::OK();
+  return handler_->update(&b->side[port], &b->side[1 - port], d, out);
+}
+
+void HashJoinOp::FuseInto(Operator* consumer, int port) {
+  fused_ = consumer;
+  fused_port_ = port;
 }
 
 Status HashJoinOp::ConsumeDeltas(int port, DeltaVec deltas) {
   tuples_processed_->Add(static_cast<int64_t>(deltas.size()));
-  DeltaVec out;
+  // Output is buffered for Emit, or folded straight into the fused
+  // consumer as it is written.
+  DeltaVec buffer;
+  DeltaVecSink buffered(&buffer);
+  DeltaSink* out = fused_ != nullptr ? fused_->fused_input() : &buffered;
+  const int64_t taken_before = out->taken();
   for (Delta& d : deltas) {
     const bool use_handler =
         handler_ != nullptr && !params_.immutable[port] &&
         (params_.handler_owns_all || d.op == DeltaOp::kUpdate);
     if (use_handler) {
-      REX_RETURN_NOT_OK(ApplyHandler(port, d, &out));
+      REX_RETURN_NOT_OK(ApplyHandler(port, d, out));
     } else {
-      REX_RETURN_NOT_OK(ApplyStandard(port, std::move(d), &out));
+      REX_RETURN_NOT_OK(ApplyStandard(port, std::move(d), out));
     }
   }
-  return Emit(std::move(out));
+  if (fused_ != nullptr) {
+    CountFusedBatch(fused_, fused_port_, out->taken() - taken_before);
+    return Status::OK();
+  }
+  return Emit(std::move(buffer));
 }
 
 size_t HashJoinOp::StateSize() const {

@@ -49,6 +49,12 @@ class HashJoinOp : public Operator {
   Status Open(ExecContext* ctx) override;
   Status ConsumeDeltas(int port, DeltaVec deltas) override;
 
+  /// Fuses this join into `consumer`, its only out-edge (to `port`): probe
+  /// and handler output fold through consumer->fused_input() as it is
+  /// produced, in the same order, instead of being buffered and Emit-ed.
+  /// Punctuation still travels the edge.
+  void FuseInto(Operator* consumer, int port);
+
   /// Total buffered tuples (both sides; used by tests and Δ-set reports).
   size_t StateSize() const;
 
@@ -71,19 +77,24 @@ class HashJoinOp : public Operator {
   Bucket* FindBucketFromTuple(const Tuple& t, int port, uint64_t hash);
   Bucket* FindOrCreateFromTuple(const Tuple& t, int port, uint64_t hash);
 
-  /// Emits `op`-annotated concatenations of `t` with every match in the
+  /// Writes `op`-annotated concatenations of `t` with every match in the
   /// opposite bucket, each carrying `weight`. Left tuples always precede
   /// right in the output.
   Status Probe(int port, const Tuple& t, DeltaOp op, int64_t weight,
-               DeltaVec* out, uint64_t hash);
+               DeltaSink* out, uint64_t hash);
 
-  Status ApplyStandard(int port, Delta d, DeltaVec* out);
-  Status ApplyHandler(int port, const Delta& d, DeltaVec* out);
+  Status ApplyStandard(int port, Delta d, DeltaSink* out);
+  Status ApplyHandler(int port, const Delta& d, DeltaSink* out);
 
   Params params_;
   const JoinHandler* handler_ = nullptr;
   // Hash of key values -> bucket chain.
   FlatMap64<std::vector<Bucket>> buckets_;
+  /// Probe's concatenation buffer, reused across rows.
+  std::vector<Value> joined_;
+  /// Set by FuseInto: the consumer output rows fold into, and its port.
+  Operator* fused_ = nullptr;
+  int fused_port_ = 0;
 };
 
 }  // namespace rex

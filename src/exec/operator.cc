@@ -73,6 +73,15 @@ Status Operator::Emit(DeltaVec deltas) {
                                      std::move(deltas));
 }
 
+void Operator::CountFusedBatch(Operator* consumer, int port, int64_t rows) {
+  if (rows == 0) return;  // Emit skips an empty batch
+  deltas_emitted_ += rows;
+  OperatorPortStats& stats = consumer->port_stats_[static_cast<size_t>(port)];
+  stats.batches += 1;
+  stats.tuples += rows;
+  consumer->tuples_processed_->Add(rows);
+}
+
 Status Operator::EmitPunct(const Punctuation& p) {
   for (const Output& out : outputs_) {
     REX_RETURN_NOT_OK(out.op->OnPunct(out.port, p));

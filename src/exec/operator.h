@@ -89,8 +89,15 @@ class Operator {
   const std::vector<OperatorPortStats>& port_stats() const {
     return port_stats_;
   }
-  /// Total deltas this operator pushed to local downstream edges via Emit.
+  /// Total deltas this operator pushed to local downstream edges via Emit
+  /// (or folded into a fused consumer).
   int64_t deltas_emitted() const { return deltas_emitted_; }
+
+  /// Row-at-a-time input for a fused same-worker producer, or nullptr (the
+  /// default) for an operator that takes data only through Consume.
+  /// LocalPlan fuses a join into its only consumer when this is non-null
+  /// (DESIGN.md "Group-join").
+  virtual DeltaSink* fused_input() { return nullptr; }
 
   /// Source hook: called by the worker on a StartStratum control message.
   /// Scans emit their data in stratum 0; fixpoints flush pending deltas in
@@ -124,6 +131,12 @@ class Operator {
   Status Emit(DeltaVec deltas);
   /// Forwards a punctuation marker to every wired output.
   Status EmitPunct(const Punctuation& p);
+  /// A fused producer's stand-in for Emit: counts `rows` rows it folded
+  /// through `consumer`'s fused_input() as one Emit to `port` would have
+  /// (this operator's deltas_emitted, the consumer's port batches/tuples
+  /// and exec.tuples_processed). The fold's time stays in this operator's
+  /// Consume.
+  void CountFusedBatch(Operator* consumer, int port, int64_t rows);
 
   /// Called when `port`'s current wave completes (or the port closes via
   /// kEndOfStream). Default: fire OnAllPunct + forward once all open ports

@@ -6,6 +6,9 @@
 //   join state:       DELTA[] UPDATE(TUPLESET LEFT, TUPLESET RIGHT, DELTA D)
 //   while state:      DELTA[] UPDATE(TUPLESET WHILERELATION, DELTA D)
 //
+// A join-state handler writes its DELTA[] into a DeltaSink instead of
+// returning it, so a fused consumer can fold each row as it is produced.
+//
 // The original REX resolves Java classes by name via reflection; here the
 // registry resolves std::function-based definitions by name, mirroring how
 // plans ship class names (not code) to workers. Typing information
@@ -98,10 +101,11 @@ struct JoinHandler {
   std::string name;
   Schema in_schema;   // delta tuple layout arriving on the delta input
   Schema out_schema;  // emitted delta layout
-  /// update(leftBucket, rightBucket, delta) -> deltas. `left` is the bucket
-  /// of the input the delta arrived on; `right` the opposite input's.
-  std::function<Result<DeltaVec>(TupleSet* left, TupleSet* right,
-                                 const Delta&)>
+  /// update(leftBucket, rightBucket, delta, out): writes the deltas to emit
+  /// into `out`, plain rows through AddRow. `left` is the bucket of the
+  /// input the delta arrived on; `right` the opposite input's.
+  std::function<Status(TupleSet* left, TupleSet* right, const Delta&,
+                       DeltaSink* out)>
       update;
   double cost_per_tuple = 1.0;
 };

@@ -511,6 +511,56 @@ TEST(ClusterTest, RehashDeliversItsLocalShareAsOneBatchPerInput) {
   }
 }
 
+TEST(ClusterTest, FusedPreAggregateCountsEveryJoinRow) {
+  // The join folds its rows straight into its same-worker pre-aggregate
+  // (DESIGN.md "Group-join"). Summed over workers, the pre-aggregate still
+  // counts every row the join wrote, and both equal what the unfused
+  // pipeline counted on this graph: 208,927 rows over 90 strata.
+  GraphGenOptions opt;
+  opt.num_vertices = 400;
+  opt.num_edges = 2400;
+  opt.seed = 16;
+  GraphData graph = GenerateRmatGraph(opt);
+  EngineConfig cfg4;
+  cfg4.num_workers = 4;
+  Cluster cluster(cfg4);
+  ASSERT_TRUE(LoadGraphTables(&cluster, graph).ok());
+  PageRankConfig cfg;
+  cfg.threshold = 1e-7;
+  ASSERT_TRUE(RegisterPageRankUdfs(cluster.udfs(), cfg).ok());
+  auto plan = BuildPageRankDeltaPlan(cfg);
+  ASSERT_TRUE(plan.ok());
+  int join = -1;
+  int pre = -1;
+  for (const PlanNodeSpec& node : plan->nodes()) {
+    if (node.type == PlanNodeSpec::Type::kHashJoin) join = node.id;
+  }
+  for (const PlanNodeSpec& node : plan->nodes()) {
+    if (node.type == PlanNodeSpec::Type::kGroupBy && !node.inputs.empty() &&
+        node.inputs[0].from == join) {
+      pre = node.id;
+    }
+  }
+  ASSERT_GE(join, 0);
+  ASSERT_GE(pre, 0);
+
+  auto run = cluster.Run(*plan);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->strata_executed, 90);
+  int64_t emitted = 0;
+  int64_t consumed = 0;
+  for (const OperatorProfile& op : run->profile.operators) {
+    if (op.op_id == join) emitted += op.deltas_emitted;
+    if (op.op_id != pre) continue;
+    ASSERT_FALSE(op.ports.empty());
+    consumed += op.ports[0].tuples;
+    // The fold runs inside the join's Consume, not the group-by's.
+    EXPECT_EQ(op.ports[0].consume_nanos, 0) << "worker " << op.worker;
+  }
+  EXPECT_EQ(consumed, emitted);
+  EXPECT_EQ(emitted, 208927);
+}
+
 TEST(ClusterTest, SinkKeepsTheMultiplicityOfCoalescedDuplicates) {
   // A shuffle's coalescer folds two identical rows into one +() of weight
   // 2, so a sink must add one copy per unit of weight. 40 distinct rows,

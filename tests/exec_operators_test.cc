@@ -248,12 +248,12 @@ TEST(HashJoinHandlerTest, HandlerReceivesBucketsAndControlsState) {
   OpHarness h;
   JoinHandler handler;
   handler.name = "TestJoin";
-  handler.update = [](TupleSet* mine, TupleSet* other,
-                      const Delta& d) -> Result<DeltaVec> {
+  handler.update = [](TupleSet* mine, TupleSet* other, const Delta& d,
+                      DeltaSink* out) -> Status {
     // Emit the opposite bucket size; never store the delta.
     (void)mine;
-    return DeltaVec{Delta::Update(
-        Tuple{d.tuple.field(0), Value(static_cast<int64_t>(other->size()))})};
+    return out->Add(Delta::Update(
+        Tuple{d.tuple.field(0), Value(static_cast<int64_t>(other->size()))}));
   };
   ASSERT_TRUE(h.udfs()->RegisterJoinHandler(handler).ok());
 
