@@ -57,34 +57,6 @@ void BM_RexDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_RexDelta)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-// Coalescing ablation pair: same query, pre-aggregation off so the raw
-// per-edge contribution stream reaches the shuffle, coalescing on vs off.
-// The coalesce-on profile must report lower tuples_sent / bytes_sent.
-void BM_RexDeltaCoalesce(benchmark::State& state) {
-  for (auto _ : state) {
-    RexRunTweaks tweaks;
-    tweaks.preaggregate = false;
-    auto r = RunRexPageRank(Graph(), RexMode::kDelta, kWorkers, kIterations,
-                            0.01, tweaks);
-    if (r.ok()) EmitRecursiveSeries("fig6", "REXdelta-coalesce", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaCoalesce)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_RexDeltaNoCoalesce(benchmark::State& state) {
-  for (auto _ : state) {
-    RexRunTweaks tweaks;
-    tweaks.preaggregate = false;
-    tweaks.coalesce_deltas = false;
-    auto r = RunRexPageRank(Graph(), RexMode::kDelta, kWorkers, kIterations,
-                            0.01, tweaks);
-    if (r.ok()) EmitRecursiveSeries("fig6", "REXdelta-nocoalesce", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaNoCoalesce)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 // Differential-compression ablation pair: identical query and knobs, the
 // checkpoint codec on vs off. Results are bit-identical (the CI smoke
 // job asserts equal tuples_sent / strata); the diff profile must report

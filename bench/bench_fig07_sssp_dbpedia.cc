@@ -59,34 +59,6 @@ void BM_RexDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_RexDelta)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-// Coalescing ablation pair: pre-aggregation off so duplicate distance
-// candidates reach the shuffle raw, coalescing on vs off. The coalesce-on
-// profile must report lower tuples_sent / bytes_sent.
-void BM_RexDeltaCoalesce(benchmark::State& state) {
-  for (auto _ : state) {
-    RexRunTweaks tweaks;
-    tweaks.preaggregate = false;
-    auto r = RunRexSssp(Graph(), /*delta=*/true, kWorkers, kFullIterations,
-                        0, tweaks);
-    if (r.ok()) EmitRecursiveSeries("fig7", "REXdelta-coalesce", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaCoalesce)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_RexDeltaNoCoalesce(benchmark::State& state) {
-  for (auto _ : state) {
-    RexRunTweaks tweaks;
-    tweaks.preaggregate = false;
-    tweaks.coalesce_deltas = false;
-    auto r = RunRexSssp(Graph(), /*delta=*/true, kWorkers, kFullIterations,
-                        0, tweaks);
-    if (r.ok()) EmitRecursiveSeries("fig7", "REXdelta-nocoalesce", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaNoCoalesce)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 // Differential-compression ablation pair: identical query and knobs, the
 // checkpoint codec on vs off. Results are bit-identical (the CI smoke
 // job asserts equal tuples_sent / strata).

@@ -47,13 +47,8 @@ inline MrConfig BenchMrConfig(int workers) {
   return cfg;
 }
 
-/// Data-path knobs for the ablation series: shuffle-side delta coalescing
-/// (exec/coalesce.h) and local pre-aggregation. The coalescing ablation
-/// pairs run with `preaggregate = false` so the raw candidate stream — the
-/// redundancy the coalescer removes — actually reaches the shuffle.
+/// Data-path knobs for the ablation series.
 struct RexRunTweaks {
-  bool coalesce_deltas = true;
-  bool preaggregate = true;
   /// Differential compression (common/delta_codec.h) of checkpoint epoch
   /// chains. Results are bit-identical either way; the ablation pairs
   /// compare stored byte volume.
@@ -69,13 +64,11 @@ inline Result<SeriesResult> RunRexPageRank(const GraphData& graph,
                                            double threshold = 0.01,
                                            RexRunTweaks tweaks = {}) {
   EngineConfig engine = BenchEngineConfig(workers);
-  engine.coalesce_deltas = tweaks.coalesce_deltas;
   engine.diff_checkpoints = tweaks.diff_checkpoints;
   Cluster cluster(std::move(engine));
   PageRankConfig cfg;
   cfg.threshold = threshold;
   cfg.relative = true;
-  cfg.preaggregate = tweaks.preaggregate;
   PlanSpec plan;
   if (mode == RexMode::kWrap) {
     REX_RETURN_NOT_OK(SetupWrapPageRank(&cluster, graph));
@@ -119,13 +112,11 @@ inline Result<SeriesResult> RunRexSssp(const GraphData& graph, bool delta,
                                        int64_t source = 0,
                                        RexRunTweaks tweaks = {}) {
   EngineConfig engine = BenchEngineConfig(workers);
-  engine.coalesce_deltas = tweaks.coalesce_deltas;
   engine.diff_checkpoints = tweaks.diff_checkpoints;
   Cluster cluster(std::move(engine));
   REX_RETURN_NOT_OK(LoadGraphTables(&cluster, graph));
   SsspConfig cfg;
   cfg.source = source;
-  cfg.preaggregate = tweaks.preaggregate;
   REX_RETURN_NOT_OK(RegisterSsspUdfs(cluster.udfs(), cfg));
   PlanSpec plan;
   if (delta) {

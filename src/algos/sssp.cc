@@ -82,10 +82,6 @@ Result<PlanSpec> BuildSsspPlan(const SsspConfig& config, bool delta) {
   }
   RehashOp::Params rh;
   rh.key_fields = {0};
-  // SPFix keeps the min per vertex and the final kMin group-by is a pure
-  // set fold: reapplying an identical δ(v, d) is a no-op, so the shuffle
-  // may drop exact per-key repeats.
-  rh.idempotent_updates = true;
   tail = plan.AddRehash(tail, rh);
   GroupByOp::Params fin;
   fin.key_fields = {0};

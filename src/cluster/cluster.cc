@@ -568,11 +568,6 @@ void Cluster::AssembleProfile(const std::vector<int>& live,
   p.retransmits = network_->metrics().Value(metrics::kRetransmits);
 
   p.tuples_sent = network_->metrics().Value(metrics::kTuplesSent);
-  for (int w = 0; w < num_workers(); ++w) {
-    MetricsRegistry* m = workers_[static_cast<size_t>(w)]->metrics();
-    p.deltas_coalesced += m->Value(metrics::kDeltasCoalesced);
-    p.coalesce_bytes_saved += m->Value(metrics::kCoalesceBytesSaved);
-  }
 }
 
 Status Cluster::DriveStrata(const PlanSpec& spec, const QueryOptions& options,
@@ -825,11 +820,6 @@ Cluster::ProfileBaseline Cluster::SnapshotBaseline() const {
   ProfileBaseline b;
   b.tuples_sent = network_->metrics().Value(metrics::kTuplesSent);
   b.retransmits = network_->metrics().Value(metrics::kRetransmits);
-  for (const auto& w : workers_) {
-    b.deltas_coalesced += w->metrics()->Value(metrics::kDeltasCoalesced);
-    b.coalesce_bytes_saved +=
-        w->metrics()->Value(metrics::kCoalesceBytesSaved);
-  }
   MetricsRegistry& ckpt = active_checkpoints_->metrics();
   b.checkpoint_bytes = ckpt.Value(metrics::kCheckpointBytes);
   b.checkpoint_tuples = ckpt.Value(metrics::kCheckpointTuples);
@@ -848,9 +838,6 @@ void Cluster::SubtractBaseline(const ProfileBaseline& base, QueryProfile* p) {
     return std::max<int64_t>(0, now - before);
   };
   p->tuples_sent = diff(p->tuples_sent, base.tuples_sent);
-  p->deltas_coalesced = diff(p->deltas_coalesced, base.deltas_coalesced);
-  p->coalesce_bytes_saved =
-      diff(p->coalesce_bytes_saved, base.coalesce_bytes_saved);
   p->checkpoint_bytes = diff(p->checkpoint_bytes, base.checkpoint_bytes);
   p->checkpoint_tuples = diff(p->checkpoint_tuples, base.checkpoint_tuples);
   p->recovery_refetch_bytes =
@@ -908,7 +895,7 @@ Result<QueryRunResult> Cluster::ApplyBaseUpdate(int query_id,
   QueryRunResult out;
   const auto t_query = std::chrono::steady_clock::now();
   // Cumulative counters are snapshotted so the returned profile honestly
-  // reports only this update's traffic, coalescing, and checkpoint volume
+  // reports only this update's traffic and checkpoint volume
   // (the incremental-vs-from-scratch comparison depends on it).
   const ProfileBaseline baseline = SnapshotBaseline();
   const int64_t bytes_before = network_->TotalBytesSent();

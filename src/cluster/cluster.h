@@ -190,7 +190,7 @@ class Cluster {
   /// follow-up ApplyBaseUpdate or Run reuse cannot silently compute against
   /// inconsistent state; RunResident clears the poison by re-deriving from
   /// the (already mutated) tables. On success the returned profile's
-  /// traffic / coalesce / checkpoint counters cover only this update.
+  /// traffic / checkpoint counters cover only this update.
   Result<QueryRunResult> ApplyBaseUpdate(int query_id,
                                          const BaseUpdate& update);
 
@@ -262,12 +262,10 @@ class Cluster {
   void MarkOthersStale(int except_query);
 
   /// Cumulative-counter snapshot taken before an incremental update so the
-  /// returned profile reports only the update's own traffic / coalesce /
-  /// checkpoint activity (counters live across the cluster's lifetime).
+  /// returned profile reports only the update's own traffic / checkpoint
+  /// activity (counters live across the cluster's lifetime).
   struct ProfileBaseline {
     int64_t tuples_sent = 0;
-    int64_t deltas_coalesced = 0;
-    int64_t coalesce_bytes_saved = 0;
     int64_t checkpoint_bytes = 0;
     int64_t checkpoint_tuples = 0;
     int64_t recovery_refetch_bytes = 0;

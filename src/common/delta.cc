@@ -12,8 +12,6 @@ const char* DeltaOpName(DeltaOp op) {
       return "->";
     case DeltaOp::kUpdate:
       return "δ";
-    case DeltaOp::kBatch:
-      return "batch";
   }
   return "?";
 }
@@ -51,11 +49,10 @@ Delta Delta::Negated() const {
       d.old_tuple = tuple;
       break;
     case DeltaOp::kUpdate:
-    case DeltaOp::kBatch:
       // δ(E) has no structural inverse; flip the (handler-owned) weight
-      // sign instead. A batch is never negated in practice. INT64_MIN has
-      // no int64 negation and saturates to INT64_MAX (ingress rejects it,
-      // so this only covers locally constructed weights).
+      // sign instead. INT64_MIN has no int64 negation and saturates to
+      // INT64_MAX (ingress rejects it, so this only covers locally
+      // constructed weights).
       d.weight = weight == INT64_MIN ? INT64_MAX : -weight;
       break;
   }

@@ -24,19 +24,12 @@
 
 namespace rex {
 
-/// The annotation α of Definition 1, plus one wire-only pseudo-annotation.
+/// The annotation α of Definition 1.
 enum class DeltaOp : uint8_t {
   kInsert = 0,   // +()
   kDelete = 1,   // -()
   kReplace = 2,  // ->(t')
   kUpdate = 3,   // δ(E)
-  /// Wire-format run of same-key +()/δ() deltas packed by the coalescer
-  /// (exec/coalesce.h): the key is carried once, the per-key payload
-  /// sequence rides in a list field. Exists only between a RehashOp
-  /// sender's FlushTo and the receiving RehashOp's network port, which
-  /// expands it back before pushing downstream — no other operator ever
-  /// sees it.
-  kBatch = 4,
 };
 
 const char* DeltaOpName(DeltaOp op);
@@ -50,7 +43,7 @@ const char* DeltaOpName(DeltaOp op);
 /// SignedWeight(). `->(t')` is the composite {-1·t', +1·t} and always has
 /// weight 1; for δ(E) the weight rides along opaquely (its meaning belongs
 /// to the delta handler, like the payload itself). Weight-zero deltas are
-/// no-ops and are eliminated by the coalescer and stateful operators.
+/// no-ops and are eliminated by the ℤ-set fold and stateful operators.
 struct Delta {
   DeltaOp op = DeltaOp::kInsert;
   /// The tuple t: the inserted tuple, the tuple to delete, the replacement
@@ -81,7 +74,7 @@ struct Delta {
   /// delete with weight -w, w == 0 → weightless insert (a no-op everywhere).
   /// INT64_MIN has no negation in int64; it saturates to a delete of weight
   /// INT64_MAX rather than invoking signed-overflow UB. Ingress points
-  /// (serde, the coalescer, join canonicalization) reject INT64_MIN outright
+  /// (serde, the ℤ-set fold, join canonicalization) reject INT64_MIN outright
   /// so saturation only arises on locally constructed pathological weights.
   static Delta Weighted(Tuple t, int64_t w) {
     if (w < 0) {
@@ -145,7 +138,7 @@ class DeltaSink {
   /// for a +(), -() or δ(), but a fused consumer folds it without building
   /// a Tuple. A ->() needs its old tuple and goes through Add.
   Status AddRow(DeltaOp op, std::span<const Value> row, int64_t weight) {
-    if (op == DeltaOp::kReplace || op == DeltaOp::kBatch) {
+    if (op == DeltaOp::kReplace) {
       return Status::InvalidArgument(
           std::string("AddRow takes a plain row, not a ") + DeltaOpName(op) +
           " delta");

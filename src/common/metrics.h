@@ -137,8 +137,8 @@ inline constexpr const char kUdfCalls[] = "exec.udf_calls";
 inline constexpr const char kUdfCacheHits[] = "exec.udf_cache_hits";
 inline constexpr const char kStrataExecuted[] = "exec.strata";
 inline constexpr const char kDeltaTuples[] = "exec.delta_tuples";
-/// Deltas removed (annihilated, composed, or deduped) by the coalescer
-/// before a shuffle or stratum flush, and the wire bytes that saved.
+/// Nothing writes these two; kept because perfbench/src/harness.cc reads
+/// them.
 inline constexpr const char kDeltasCoalesced[] = "exec.deltas_coalesced";
 inline constexpr const char kCoalesceBytesSaved[] =
     "exec.coalesce_bytes_saved";

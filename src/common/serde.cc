@@ -217,7 +217,7 @@ Result<Delta> BufferReader::GetDelta() {
   REX_ASSIGN_OR_RETURN(uint8_t head, GetU8());
   const uint8_t op = head & kDeltaOpMask;
   const uint8_t flags = head & ~kDeltaOpMask;
-  if (op > static_cast<uint8_t>(DeltaOp::kBatch)) {
+  if (op > static_cast<uint8_t>(DeltaOp::kUpdate)) {
     return Status::TypeError("bad delta op " + std::to_string(op));
   }
   if ((flags & ~(kDeltaHasWeight | kDeltaHasOldTuple)) != 0) {

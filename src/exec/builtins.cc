@@ -47,9 +47,6 @@ Uda MakeArgExtreme(const std::string& name, bool is_min) {
         s->entries.insert(std::move(entry));
         break;
       }
-      case DeltaOp::kBatch:
-        // Wire-only packing; the receiving rehash expands it.
-        return Status::Internal("packed batch delta reached a UDA");
     }
     return DeltaVec{};
   };

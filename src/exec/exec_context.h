@@ -24,14 +24,6 @@ struct EngineConfig {
   /// Deltas per network message; REX passes batched messages (§4.1).
   size_t network_batch_size = 1024;
 
-  /// Coalesce delta streams to their net effect before they are shuffled
-  /// (RehashOp flush) or re-injected into the loop (FixpointOp stratum
-  /// flush, GroupByOp emission): +t/-t annihilation, ->-chain composition,
-  /// plan-declared idempotent dedupe, and same-key run packing on the
-  /// wire. Off reproduces the raw per-revision delta stream (the no-delta
-  /// baselines and the Figure 3/12 "raw" series).
-  bool coalesce_deltas = true;
-
   /// UDC input batching (§4.2): table-UDF invocations take sequences of
   /// tuples, amortizing invocation overhead. 1 disables batching.
   size_t udf_batch_size = 64;

@@ -53,15 +53,6 @@ Status FixpointOp::Open(ExecContext* ctx) {
                          ctx->udfs->GetWhileHandler(params_.while_handler));
   }
   delta_tuples_ = ctx->metrics->GetCounter(metrics::kDeltaTuples);
-  coalescer_.reset();
-  if (ctx->config->coalesce_deltas && params_.mode == Mode::kDelta) {
-    CoalesceOptions opts;
-    opts.key_fields = params_.key_fields;
-    coalescer_.emplace(std::move(opts));
-    deltas_coalesced_ = ctx->metrics->GetCounter(metrics::kDeltasCoalesced);
-    coalesce_bytes_saved_ =
-        ctx->metrics->GetCounter(metrics::kCoalesceBytesSaved);
-  }
   return Status::OK();
 }
 
@@ -255,16 +246,9 @@ Status FixpointOp::StartStratum(int stratum) {
     pending_.clear();
   } else {
     flush.swap(pending_);
-    if (coalescer_.has_value()) {
-      CoalesceStats stats;
-      REX_ASSIGN_OR_RETURN(flush,
-                           coalescer_->Coalesce(std::move(flush), &stats));
-      deltas_coalesced_->Add(stats.folded);
-      coalesce_bytes_saved_->Add(stats.bytes_saved);
-    }
   }
-  // Counted after coalescing: the per-stratum Δ cardinality the Figure 3 /
-  // Figure 12 reproductions report is the net set actually propagated.
+  // The per-stratum Δ cardinality the Figure 3 / Figure 12 reproductions
+  // report: the set actually propagated.
   delta_tuples_->Add(static_cast<int64_t>(flush.size()));
   REX_RETURN_NOT_OK(Emit(std::move(flush)));
   Punctuation p;

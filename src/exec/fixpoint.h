@@ -23,13 +23,11 @@
 #ifndef REX_EXEC_FIXPOINT_H_
 #define REX_EXEC_FIXPOINT_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/flat_map.h"
 
-#include "exec/coalesce.h"
 #include "exec/operator.h"
 #include "exec/tuple_set.h"
 #include "exec/uda.h"
@@ -158,15 +156,7 @@ class FixpointOp : public Operator {
   /// True while Apply is fed from checkpoints: suppresses re-logging.
   bool replaying_ = false;
 
-  /// Engaged when EngineConfig::coalesce_deltas is on in kDelta mode:
-  /// StartStratum folds the pending Δ set to its net effect (a key revised
-  /// five times in one stratum flushes one composed delta). Operates on the
-  /// swapped flush copy only — pending_/applied_log_ and hence checkpoints
-  /// and the Δ-conservation invariant stay raw.
-  std::optional<DeltaCoalescer> coalescer_;
-  Counter* deltas_coalesced_ = nullptr;
-  Counter* coalesce_bytes_saved_ = nullptr;
-  /// Net Δ tuples flushed per stratum (exec.delta_tuples).
+  /// Δ tuples flushed per stratum (exec.delta_tuples).
   Counter* delta_tuples_ = nullptr;
 
   VoteStats stats_;  // current stratum

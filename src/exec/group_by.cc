@@ -62,20 +62,6 @@ Status GroupByOp::Open(ExecContext* ctx) {
   } else if (params_.aggs.empty()) {
     return Status::InvalidArgument("group-by needs aggregates or a UDA");
   }
-  coalescer_.reset();
-  if (ctx->config->coalesce_deltas) {
-    CoalesceOptions opts;
-    if (uda_ == nullptr) {
-      // Output layout: key fields first, then one result per aggregate.
-      for (size_t i = 0; i < params_.key_fields.size(); ++i) {
-        opts.key_fields.push_back(static_cast<int>(i));
-      }
-    }
-    coalescer_.emplace(std::move(opts));
-    deltas_coalesced_ = ctx->metrics->GetCounter(metrics::kDeltasCoalesced);
-    coalesce_bytes_saved_ =
-        ctx->metrics->GetCounter(metrics::kCoalesceBytesSaved);
-  }
   return Status::OK();
 }
 
@@ -202,9 +188,6 @@ Status GroupByOp::ApplyBuiltin(size_t g, DeltaOp op, Row row, Row old_row,
         REX_RETURN_NOT_OK(fn->Insert(state, in));
         break;
       }
-      case DeltaOp::kBatch:
-        // Wire-only packing; the receiving rehash expands it.
-        return Status::Internal("packed batch delta reached a group-by");
     }
   }
   return Status::OK();
@@ -327,12 +310,6 @@ Status GroupByOp::OnAllPunct(const Punctuation&) {
       out.push_back(Delta::Replace(last, result));
       last = std::move(result);
     }
-  }
-  if (coalescer_.has_value() && out.size() > 1) {
-    CoalesceStats stats;
-    REX_ASSIGN_OR_RETURN(out, coalescer_->Coalesce(std::move(out), &stats));
-    deltas_coalesced_->Add(stats.folded);
-    coalesce_bytes_saved_->Add(stats.bytes_saved);
   }
   REX_RETURN_NOT_OK(Emit(std::move(out)));
   if (params_.mode == Mode::kStratum) ClearGroups();

@@ -20,14 +20,12 @@
 #define REX_EXEC_GROUP_BY_H_
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/flat_map.h"
 #include "exec/aggregates.h"
-#include "exec/coalesce.h"
 #include "exec/operator.h"
 #include "exec/uda.h"
 
@@ -144,14 +142,6 @@ class GroupByOp : public Operator {
   /// Key hash -> 1-based arena index of the newest group with that hash.
   FlatMap64<uint32_t> index_;
   FoldInput fold_input_{this};
-
-  /// Engaged when EngineConfig::coalesce_deltas is on: punctuation-time
-  /// emission is folded to its net effect (built-in output is keyed on the
-  /// leading group-key columns; UDA output, whose layout the UDA owns, is
-  /// keyed on the whole tuple, so only exact-pair annihilation can fire).
-  std::optional<DeltaCoalescer> coalescer_;
-  Counter* deltas_coalesced_ = nullptr;
-  Counter* coalesce_bytes_saved_ = nullptr;
 };
 
 }  // namespace rex

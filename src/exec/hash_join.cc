@@ -186,9 +186,6 @@ Status HashJoinOp::ApplyStandard(int port, Delta d, DeltaSink* out) {
           ApplyStandard(port, Delta::Delete(d.old_tuple), out));
       return ApplyStandard(port, Delta::Insert(d.tuple), out);
     }
-    case DeltaOp::kBatch:
-      // Wire-only packing; the receiving rehash expands it.
-      return Status::Internal("packed batch delta reached a join");
   }
   return Status::Internal("unhandled delta op in join");
 }

@@ -1,5 +1,6 @@
 #include "exec/operators.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/hash.h"
@@ -246,9 +247,9 @@ Status UnionOp::ConsumeDeltas(int, DeltaVec deltas) {
 
 Status SinkOp::ConsumeDeltas(int, DeltaVec deltas) {
   for (Delta& d : deltas) {
-    // The coalescer folds identical rows into one weighted delta, so the
-    // weight is a multiplicity, as on a join's buffered side: an insert of
-    // weight -w is a delete of weight w, and weight zero is a no-op.
+    // The weight is a ℤ-set multiplicity, as on a join's buffered side: an
+    // insert of weight -w is a delete of weight w, and weight zero is a
+    // no-op.
     if ((d.op == DeltaOp::kInsert || d.op == DeltaOp::kDelete) &&
         d.weight == 0) {
       continue;
@@ -273,9 +274,6 @@ Status SinkOp::ConsumeDeltas(int, DeltaVec deltas) {
         // was folded away upstream) must still land the new image.
         results_.ReplaceOrInsert(d.old_tuple, std::move(d.tuple));
         break;
-      case DeltaOp::kBatch:
-        // Wire-only packing; the receiving rehash expands it.
-        return Status::Internal("packed batch delta reached a sink");
     }
   }
   return Status::OK();
@@ -289,16 +287,17 @@ Status RehashOp::Open(ExecContext* ctx) {
   pending_.assign(static_cast<size_t>(ctx->network->num_workers()),
                   DeltaVec());
   SetExpectedPuncts(1, ctx->pmap->num_workers());
-  coalescer_.reset();
-  if (ctx->config->coalesce_deltas && !params_.broadcast) {
-    CoalesceOptions opts;
-    opts.key_fields = params_.key_fields;
-    opts.dedupe_idempotent = params_.idempotent_updates;
-    opts.pack_runs = true;
-    coalescer_.emplace(std::move(opts));
-    deltas_coalesced_ = ctx->metrics->GetCounter(metrics::kDeltasCoalesced);
-    coalesce_bytes_saved_ =
-        ctx->metrics->GetCounter(metrics::kCoalesceBytesSaved);
+  // Field loops index rows through static_cast<size_t>, so a negative index
+  // would wrap to a huge offset instead of failing; reject it at plan time.
+  // The largest index bounds every hashed row's arity check.
+  max_field_ = -1;
+  for (int k : params_.key_fields) {
+    if (k < 0) {
+      return Status::InvalidArgument(
+          "rehash key field index must be non-negative, got " +
+          std::to_string(k));
+    }
+    max_field_ = std::max(max_field_, k);
   }
   return Status::OK();
 }
@@ -313,13 +312,6 @@ Status RehashOp::FlushTo(int dest) {
   if (buf.empty()) return Status::OK();
   DeltaVec batch;
   batch.swap(buf);
-  if (coalescer_.has_value()) {
-    CoalesceStats stats;
-    REX_ASSIGN_OR_RETURN(batch, coalescer_->Coalesce(std::move(batch), &stats));
-    deltas_coalesced_->Add(stats.folded);
-    coalesce_bytes_saved_->Add(stats.bytes_saved);
-    if (batch.empty()) return Status::OK();  // fully annihilated
-  }
   return ctx_->network->Send(
       Message::Data(ctx_->worker_id, dest, id(), /*port=*/1,
                     std::move(batch)));
@@ -346,6 +338,12 @@ Status RehashOp::Route(Delta d, DeltaVec* local) {
     }
     return Status::OK();
   }
+  if (static_cast<int64_t>(d.tuple.size()) <= max_field_) {
+    return Status::InvalidArgument(
+        std::string(name()) + " op " + std::to_string(id()) +
+        " hashes field " + std::to_string(max_field_) + " of a row of arity " +
+        std::to_string(d.tuple.size()));
+  }
   const int dest =
       ctx_->pmap->PrimaryOwner(PartitionHash(d.tuple, params_.key_fields));
   if (dest == ctx_->worker_id) {
@@ -359,16 +357,11 @@ Status RehashOp::Route(Delta d, DeltaVec* local) {
 }
 
 Status RehashOp::ConsumeDeltas(int port, DeltaVec deltas) {
-  if (port == 1) {
-    // Already routed to us; unpack any coalesced same-key runs so kBatch
-    // never escapes the shuffle.
-    REX_ASSIGN_OR_RETURN(deltas, DeltaCoalescer::Expand(std::move(deltas)));
-    return Emit(std::move(deltas));
-  }
+  if (port == 1) return Emit(std::move(deltas));  // already routed to us
   tuples_processed_->Add(static_cast<int64_t>(deltas.size()));
   // Rows this worker owns go downstream as one batch at the end of the
-  // call, uncoalesced and in input order. They are not held for FlushAll:
-  // a recovery reload emits data with no punctuation behind it.
+  // call, in input order. They are not held for FlushAll: a recovery
+  // reload emits data with no punctuation behind it.
   DeltaVec local;
   for (Delta& d : deltas) REX_RETURN_NOT_OK(Route(std::move(d), &local));
   return Emit(std::move(local));

@@ -5,12 +5,10 @@
 #define REX_EXEC_OPERATORS_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "exec/coalesce.h"
 #include "exec/expr.h"
 #include "exec/operator.h"
 #include "exec/tuple_set.h"
@@ -164,11 +162,6 @@ class RehashOp : public Operator {
   struct Params {
     std::vector<int> key_fields;
     bool broadcast = false;
-    /// Plan-declared promise that downstream application of this shuffle's
-    /// +()/δ() deltas is idempotent (e.g. SSSP's min-keeping handler), so
-    /// the coalescer may drop exact per-key repeats. Never set it for
-    /// counting or summing consumers.
-    bool idempotent_updates = false;
   };
 
   RehashOp(int id, Params params)
@@ -191,15 +184,10 @@ class RehashOp : public Operator {
   Status FlushAll();
 
   Params params_;
+  /// Largest key field index a hashed row must have; -1 if none.
+  int max_field_ = -1;
   std::vector<DeltaVec> pending_;  // per destination worker
   size_t batch_size_ = 1024;
-
-  /// Engaged when EngineConfig::coalesce_deltas is on (and not broadcast):
-  /// every FlushTo folds its buffer to the net batch and packs same-key
-  /// runs; the receiving port expands them back.
-  std::optional<DeltaCoalescer> coalescer_;
-  Counter* deltas_coalesced_ = nullptr;
-  Counter* coalesce_bytes_saved_ = nullptr;
 };
 
 }  // namespace rex

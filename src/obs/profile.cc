@@ -133,8 +133,6 @@ Json QueryProfile::ToJson() const {
   out.Set("retransmits", retransmits);
   out.Set("checkpoint_repairs", checkpoint_repairs);
   out.Set("tuples_sent", tuples_sent);
-  out.Set("deltas_coalesced", deltas_coalesced);
-  out.Set("coalesce_bytes_saved", coalesce_bytes_saved);
   out.Set("ckpt_raw_bytes", ckpt_raw_bytes);
   out.Set("ckpt_stored_bytes", ckpt_stored_bytes);
   return out;
@@ -222,8 +220,6 @@ Status ValidateProfileJson(const Json& profile) {
   REX_RETURN_NOT_OK(RequireInt(profile, "retransmits"));
   REX_RETURN_NOT_OK(RequireInt(profile, "checkpoint_repairs"));
   REX_RETURN_NOT_OK(RequireInt(profile, "tuples_sent"));
-  REX_RETURN_NOT_OK(RequireInt(profile, "deltas_coalesced"));
-  REX_RETURN_NOT_OK(RequireInt(profile, "coalesce_bytes_saved"));
   REX_RETURN_NOT_OK(RequireInt(profile, "ckpt_raw_bytes"));
   REX_RETURN_NOT_OK(RequireInt(profile, "ckpt_stored_bytes"));
   return Status::OK();

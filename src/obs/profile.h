@@ -104,11 +104,7 @@ struct QueryProfile {
   int64_t retransmits = 0;              // sends retried after a lossy link
   int64_t checkpoint_repairs = 0;       // copies rebuilt after checksum fail
 
-  /// Delta-coalescing meters (Fig. 3/12 honesty check: the Δ cardinalities
-  /// and bytes the run reports are the net sets actually shipped).
-  int64_t tuples_sent = 0;         // deltas that crossed the network
-  int64_t deltas_coalesced = 0;    // deltas folded away before shipping
-  int64_t coalesce_bytes_saved = 0;  // wire bytes the folding saved
+  int64_t tuples_sent = 0;  // deltas that crossed the network
 
   /// Differential-compression meters (Fig. 11's raw-vs-stored ablation):
   /// checkpoint epochs before/after delta-chain encoding. raw == stored

@@ -299,11 +299,8 @@ void ServingSession::PushToSubscribers(int query_id, int64_t epoch,
     sub.pending_epoch = epoch;
     if (sub.pending_snapshot) continue;  // snapshot already supersedes all
     sub.pending.insert(sub.pending.end(), diffs.begin(), diffs.end());
-    CoalesceOptions copts;
-    copts.key_fields = q.spec.key_fields;
-    CoalesceStats stats;
     Result<DeltaVec> folded =
-        DeltaCoalescer(copts).Coalesce(std::move(sub.pending), &stats);
+        CoalesceDeltas(std::move(sub.pending), q.spec.key_fields);
     if (folded.ok()) {
       sub.pending = std::move(*folded);
     } else {

@@ -562,10 +562,10 @@ TEST(ClusterTest, FusedPreAggregateCountsEveryJoinRow) {
 }
 
 TEST(ClusterTest, SinkKeepsTheMultiplicityOfCoalescedDuplicates) {
-  // A shuffle's coalescer folds two identical rows into one +() of weight
-  // 2, so a sink must add one copy per unit of weight. 40 distinct rows,
-  // each stored twice, reach the sink as 80 rows with coalescing on or
-  // off, straight from the rehash or through a join.
+  // Identical rows are a bag, not a set: 40 distinct rows, each stored
+  // twice, reach the sink as 80 rows, straight from the rehash or through
+  // a join. A sink also adds one copy per unit of a +()'s weight
+  // (SinkOpTest.WeightsAreMultiplicities).
   std::vector<Tuple> rows;
   for (int64_t i = 0; i < 40; ++i) {
     const Tuple row{Value(i), Value(i % 8)};
@@ -576,49 +576,44 @@ TEST(ClusterTest, SinkKeepsTheMultiplicityOfCoalescedDuplicates) {
   for (int64_t k = 0; k < 8; ++k) {
     names.push_back(Tuple{Value(k), Value("n" + std::to_string(k))});
   }
-  for (bool coalesce : {true, false}) {
-    SCOPED_TRACE(coalesce ? "coalesce_deltas on" : "coalesce_deltas off");
-    EngineConfig cfg = SmallConfig();
-    cfg.coalesce_deltas = coalesce;
-    Cluster cluster(cfg);
-    ASSERT_TRUE(cluster
-                    .CreateTable("t",
-                                 Schema{{"id", ValueType::kInt},
-                                        {"k", ValueType::kInt}},
-                                 0, rows)
-                    .ok());
-    ASSERT_TRUE(cluster
-                    .CreateTable("names",
-                                 Schema{{"k", ValueType::kInt},
-                                        {"name", ValueType::kString}},
-                                 0, names)
-                    .ok());
-    ScanOp::Params scan_t;
-    scan_t.table = "t";
-    RehashOp::Params by_k;
-    by_k.key_fields = {1};
+  Cluster cluster(SmallConfig());
+  ASSERT_TRUE(cluster
+                  .CreateTable("t",
+                               Schema{{"id", ValueType::kInt},
+                                      {"k", ValueType::kInt}},
+                               0, rows)
+                  .ok());
+  ASSERT_TRUE(cluster
+                  .CreateTable("names",
+                               Schema{{"k", ValueType::kInt},
+                                      {"name", ValueType::kString}},
+                               0, names)
+                  .ok());
+  ScanOp::Params scan_t;
+  scan_t.table = "t";
+  RehashOp::Params by_k;
+  by_k.key_fields = {1};
 
-    PlanSpec direct;
-    direct.AddSink(direct.AddRehash(direct.AddScan(scan_t), by_k));
-    auto run = cluster.Run(direct);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(run->results.size(), 80u);
+  PlanSpec direct;
+  direct.AddSink(direct.AddRehash(direct.AddScan(scan_t), by_k));
+  auto run = cluster.Run(direct);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->results.size(), 80u);
 
-    PlanSpec joined;
-    const int left = joined.AddRehash(joined.AddScan(scan_t), by_k);
-    ScanOp::Params scan_names;
-    scan_names.table = "names";
-    RehashOp::Params by_name_k;
-    by_name_k.key_fields = {0};
-    const int right = joined.AddRehash(joined.AddScan(scan_names), by_name_k);
-    HashJoinOp::Params jp;
-    jp.left_keys = {1};
-    jp.right_keys = {0};
-    joined.AddSink(joined.AddHashJoin(left, right, jp));
-    run = cluster.Run(joined);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(run->results.size(), 80u);
-  }
+  PlanSpec joined;
+  const int left = joined.AddRehash(joined.AddScan(scan_t), by_k);
+  ScanOp::Params scan_names;
+  scan_names.table = "names";
+  RehashOp::Params by_name_k;
+  by_name_k.key_fields = {0};
+  const int right = joined.AddRehash(joined.AddScan(scan_names), by_name_k);
+  HashJoinOp::Params jp;
+  jp.left_keys = {1};
+  jp.right_keys = {0};
+  joined.AddSink(joined.AddHashJoin(left, right, jp));
+  run = cluster.Run(joined);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->results.size(), 80u);
 }
 
 TEST(ClusterTest, MultiFailureLiveWorkersAfterPartialRestore) {

@@ -1,7 +1,7 @@
 // Property tests for the weighted ℤ-set delta algebra (DESIGN.md
-// "Weighted deltas"): the laws the coalescer's weight arithmetic relies
+// "Weighted deltas"): the laws the ℤ-set fold's weight arithmetic relies
 // on, serde round trips for weighted/composite deltas, and a reference
-// weighted-fold oracle the coalescer must agree with on random streams.
+// weighted-fold oracle the fold must agree with on random streams.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +21,7 @@ Tuple T(int64_t k, int64_t v) { return Tuple{Value(k), Value(v)}; }
 
 // ---------------------------------------------------------------------------
 // ℤ-set laws on SignedWeight(): the algebra every stateful operator and the
-// coalescer agree on.
+// fold agree on.
 // ---------------------------------------------------------------------------
 
 TEST(DeltaAlgebra, SignConvention) {
@@ -127,20 +127,24 @@ TEST(DeltaAlgebra, SerdeRejectsMalformedHead) {
   // Unknown op nibble and unknown flag bits must fail loudly, not
   // misparse (checkpoint corruption shows up here).
   std::string bytes = SerializeDelta(Delta::Insert(T(1, 2)));
-  bytes[0] = static_cast<char>(0x07);  // op 7: not a DeltaOp
-  EXPECT_FALSE(DeserializeDelta(bytes).ok());
+  for (char head : {0x04, 0x07}) {  // ops 4 and 7: not a DeltaOp
+    bytes[0] = head;
+    auto res = DeserializeDelta(bytes);
+    ASSERT_FALSE(res.ok()) << "op " << static_cast<int>(head);
+    EXPECT_EQ(res.status().code(), StatusCode::kTypeError);
+  }
   bytes[0] = static_cast<char>(0x40);  // unknown flag bit
   EXPECT_FALSE(DeserializeDelta(bytes).ok());
 }
 
 // ---------------------------------------------------------------------------
-// Coalescer vs reference weighted fold: on random streams, the coalescer's
+// The fold vs a reference weighted fold: on random streams, the fold's
 // output applied as a ℤ-set equals the input applied as a ℤ-set, per key.
 // ---------------------------------------------------------------------------
 
 /// Reference semantics: per key, tuple → net signed multiplicity. Replace
 /// is the composite {-1·old, +1·new}; δ() is opaque and excluded (the
-/// coalescer passes it through, which PassesDeltaThrough checks separately).
+/// fold passes it through, which OpaqueUpdatesPassThroughWithWeight checks).
 using ZSet = std::map<std::string, int64_t>;
 
 ZSet FoldReference(const DeltaVec& deltas) {
@@ -175,7 +179,7 @@ DeltaVec RandomStream(std::mt19937_64* rng, int length, int num_keys) {
   std::uniform_int_distribution<int> kind(0, 4);
   std::uniform_int_distribution<int64_t> wdist(1, 4);
   // Track one live value per key so replaces/deletes refer to live tuples
-  // (the stream-consistency contract the coalescer's soundness needs).
+  // (the stream-consistency contract the fold's soundness needs).
   std::map<int64_t, int64_t> live;
   DeltaVec out;
   for (int i = 0; i < length; ++i) {
@@ -220,21 +224,16 @@ DeltaVec RandomStream(std::mt19937_64* rng, int length, int num_keys) {
 }
 
 TEST(DeltaAlgebra, CoalescerMatchesWeightedFoldOnRandomStreams) {
-  DeltaCoalescer coalescer(CoalesceOptions{{0}, false, false});
   std::mt19937_64 rng(20260808);
   for (int trial = 0; trial < 60; ++trial) {
     DeltaVec in = RandomStream(&rng, 40, 6);
-    CoalesceStats stats;
-    DeltaVec out = *coalescer.Coalesce(in, &stats);
+    DeltaVec out = *CoalesceDeltas(in, {0});
     EXPECT_EQ(FoldReference(out), FoldReference(in)) << "trial " << trial;
     EXPECT_LE(out.size(), in.size());
-    EXPECT_EQ(stats.deltas_in, static_cast<int64_t>(in.size()));
-    EXPECT_EQ(stats.deltas_out, static_cast<int64_t>(out.size()));
   }
 }
 
 TEST(DeltaAlgebra, BatchPlusNegationCoalescesToNothing) {
-  DeltaCoalescer coalescer(CoalesceOptions{{0}, false, false});
   std::mt19937_64 rng(7);
   for (int trial = 0; trial < 40; ++trial) {
     DeltaVec batch = RandomStream(&rng, 25, 5);
@@ -242,31 +241,26 @@ TEST(DeltaAlgebra, BatchPlusNegationCoalescesToNothing) {
     for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
       stream.push_back(it->Negated());
     }
-    CoalesceStats stats;
-    DeltaVec out = *coalescer.Coalesce(stream, &stats);
+    DeltaVec out = *CoalesceDeltas(stream, {0});
     EXPECT_TRUE(FoldReference(out).empty())
         << "trial " << trial << ": " << out.size() << " net survivors";
   }
 }
 
 TEST(DeltaAlgebra, ZeroWeightIsEliminated) {
-  DeltaCoalescer coalescer(CoalesceOptions{{0}, false, false});
   DeltaVec in;
   in.push_back(Delta::Weighted(T(1, 1), 0));
   Delta zero_update = Delta::Update(T(2, 2));
   zero_update.weight = 0;
   in.push_back(zero_update);
-  CoalesceStats stats;
-  DeltaVec out = *coalescer.Coalesce(std::move(in), &stats);
+  DeltaVec out = *CoalesceDeltas(std::move(in), {0});
   EXPECT_TRUE(out.empty());
 }
 
 TEST(DeltaAlgebra, OpaqueUpdatesPassThroughWithWeight) {
-  DeltaCoalescer coalescer(CoalesceOptions{{0}, false, false});
   Delta u = Delta::Update(T(3, 5));
   u.weight = 9;
-  CoalesceStats stats;
-  DeltaVec out = *coalescer.Coalesce({u, Delta::Insert(T(3, 5))}, &stats);
+  DeltaVec out = *CoalesceDeltas({u, Delta::Insert(T(3, 5))}, {0});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], u);  // weight untouched, order preserved
 }
@@ -274,12 +268,10 @@ TEST(DeltaAlgebra, OpaqueUpdatesPassThroughWithWeight) {
 TEST(DeltaAlgebra, WeightedNetRendersAsDeletesThenInserts) {
   // A key whose net is {-2·a, +3·b} must come back as canonical weighted
   // deltas, not as a replace (replace is reserved for the exact -1/+1 pair).
-  DeltaCoalescer coalescer(CoalesceOptions{{0}, false, false});
   DeltaVec in;
   in.push_back(Delta::Weighted(T(1, 10), -2));
   in.push_back(Delta::Weighted(T(1, 20), 3));
-  CoalesceStats stats;
-  DeltaVec out = *coalescer.Coalesce(std::move(in), &stats);
+  DeltaVec out = *CoalesceDeltas(std::move(in), {0});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], Delta::Weighted(T(1, 10), -2));
   EXPECT_EQ(out[1], Delta::Weighted(T(1, 20), 3));

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "algos/pagerank.h"
 #include "cluster/cluster.h"
@@ -384,10 +385,9 @@ TEST(GroupJoinTest, ShortRowIsInvalidArgumentOnBothPaths) {
   EXPECT_EQ(gb.NumGroups(), 0u);
 }
 
-TEST(GroupJoinTest, RqlPreAggregateOverAShortHandlerRowFails) {
-  // PRJoin writes (nbr, share); the query claims a third column and sums
-  // it. The query compiles (built-in handlers declare no out_schema), and
-  // the pre-aggregate must refuse to read past the row.
+/// Runs a PageRank-shaped RQL query whose recursive step is `step` on a
+/// 2-worker cluster, and returns how the run ended.
+Status RunPrJoinQuery(const std::string& step) {
   GraphGenOptions opt;
   opt.num_vertices = 60;
   opt.num_edges = 240;
@@ -396,25 +396,45 @@ TEST(GroupJoinTest, RqlPreAggregateOverAShortHandlerRowFails) {
   EngineConfig cfg;
   cfg.num_workers = 2;
   Cluster cluster(cfg);
-  ASSERT_TRUE(LoadGraphTables(&cluster, graph).ok());
-  ASSERT_TRUE(RegisterPageRankUdfs(cluster.udfs(), PageRankConfig{}).ok());
+  REX_RETURN_NOT_OK(LoadGraphTables(&cluster, graph));
+  REX_RETURN_NOT_OK(RegisterPageRankUdfs(cluster.udfs(), PageRankConfig{}));
   rql::CompileContext ctx;
   ctx.storage = cluster.storage();
   ctx.udfs = cluster.udfs();
   auto compiled = rql::CompileRql(
       "WITH PR (v, diff) AS ("
       "  SELECT v, 0.15 FROM vertices"
-      ") UNION ALL UNTIL FIXPOINT BY v USING PRFix ("
+      ") UNION ALL UNTIL FIXPOINT BY v USING PRFix (" +
+          step + ")",
+      ctx);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (!compiled.ok()) return Status::OK();
+  return cluster.Run(compiled->spec).status();
+}
+
+TEST(GroupJoinTest, RqlPreAggregateOverAShortHandlerRowFails) {
+  // PRJoin writes (nbr, share); the query claims a third column and sums
+  // it. The query compiles (built-in handlers declare no out_schema), and
+  // the pre-aggregate must refuse to read past the row.
+  Status st = RunPrJoinQuery(
       "  SELECT nbr, sum(extra) FROM ("
       "    SELECT PRJoin(v, diff).{nbr, share, extra}"
       "    FROM graph, PR WHERE graph.src = PR.v GROUP BY src)"
-      "  GROUP BY nbr)",
-      ctx);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  auto run = cluster.Run(compiled->spec);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument)
-      << run.status().ToString();
+      "  GROUP BY nbr");
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
+TEST(GroupJoinTest, RqlRehashKeyedPastAShortHandlerRowFails) {
+  // avg has no combiner, so the join's 2-field rows go straight into a
+  // rehash keyed on the claimed third field, which must refuse to hash
+  // past the row instead of reading out of bounds.
+  Status st = RunPrJoinQuery(
+      "  SELECT extra, avg(share) FROM ("
+      "    SELECT PRJoin(v, diff).{nbr, share, extra}"
+      "    FROM graph, PR WHERE graph.src = PR.v GROUP BY src)"
+      "  GROUP BY extra");
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("rehash"), std::string::npos) << st.ToString();
 }
 
 // ------------------------------------------------------- min / max --
