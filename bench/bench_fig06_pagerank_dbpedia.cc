@@ -57,29 +57,6 @@ void BM_RexDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_RexDelta)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-// Differential-compression ablation pair: identical query and knobs, the
-// checkpoint codec on vs off. Results are bit-identical (the CI smoke
-// job asserts equal tuples_sent / strata); the diff profile must report
-// ckpt_stored_bytes < ckpt_raw_bytes on this checkpoint-heavy workload.
-void BM_RexDeltaDiff(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = RunRexPageRank(Graph(), RexMode::kDelta, kWorkers, kIterations);
-    if (r.ok()) EmitRecursiveSeries("fig6", "REXdelta-diff", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaDiff)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_RexDeltaNoDiff(benchmark::State& state) {
-  for (auto _ : state) {
-    RexRunTweaks tweaks;
-    tweaks.diff_checkpoints = false;
-    auto r = RunRexPageRank(Graph(), RexMode::kDelta, kWorkers, kIterations,
-                            0.01, tweaks);
-    if (r.ok()) EmitRecursiveSeries("fig6", "REXdelta-nodiff", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaNoDiff)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 }  // namespace rexbench
 

@@ -59,28 +59,6 @@ void BM_RexDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_RexDelta)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-// Differential-compression ablation pair: identical query and knobs, the
-// checkpoint codec on vs off. Results are bit-identical (the CI smoke
-// job asserts equal tuples_sent / strata).
-void BM_RexDeltaDiff(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = RunRexSssp(Graph(), /*delta=*/true, kWorkers, kFullIterations);
-    if (r.ok()) EmitRecursiveSeries("fig7", "REXdelta-diff", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaDiff)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_RexDeltaNoDiff(benchmark::State& state) {
-  for (auto _ : state) {
-    RexRunTweaks tweaks;
-    tweaks.diff_checkpoints = false;
-    auto r = RunRexSssp(Graph(), /*delta=*/true, kWorkers, kFullIterations,
-                        0, tweaks);
-    if (r.ok()) EmitRecursiveSeries("fig7", "REXdelta-nodiff", *r);
-  }
-}
-BENCHMARK(BM_RexDeltaNoDiff)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 }  // namespace rexbench
 

@@ -31,39 +31,12 @@ void EmitBoth(const char* figure, const std::string& series, int64_t bytes,
       static_cast<double>(bytes) / (1024.0 * 1024.0), "MB");
 }
 
-/// Differential-compression view of a REX run: raw vs stored checkpoint
-/// epoch volume, plus the ratio (>= 1 when the codec pays for itself).
-void EmitCompression(const char* figure, const std::string& series,
-                     const QueryProfile& p) {
-  const double mb = 1024.0 * 1024.0;
-  Row(figure, series + "/ckpt_raw", 0,
-      static_cast<double>(p.ckpt_raw_bytes) / mb, "MB");
-  Row(figure, series + "/ckpt_stored", 0,
-      static_cast<double>(p.ckpt_stored_bytes) / mb, "MB");
-  if (p.ckpt_stored_bytes > 0) {
-    Row(figure, series + "/ckpt_ratio", 0,
-        static_cast<double>(p.ckpt_raw_bytes) /
-            static_cast<double>(p.ckpt_stored_bytes),
-        "x");
-  }
-}
-
 void BM_PageRankBandwidth(benchmark::State& state) {
   for (auto _ : state) {
     auto rex = RunRexPageRank(Graph(), RexMode::kDelta, kWorkers, 31);
     if (rex.ok()) {
       RecordProfile("pagerank/REXdelta", rex->profile);
       EmitBoth("fig11b", "REXdelta", rex->bytes_sent, rex->total_seconds);
-      EmitCompression("fig11b", "REXdelta", rex->profile);
-    }
-    RexRunTweaks nodiff;
-    nodiff.diff_checkpoints = false;
-    auto raw = RunRexPageRank(Graph(), RexMode::kDelta, kWorkers, 31, 0.01,
-                              nodiff);
-    if (raw.ok()) {
-      RecordProfile("pagerank/REXdelta-nodiff", raw->profile);
-      EmitBoth("fig11b", "REXdelta-nodiff", raw->bytes_sent,
-               raw->total_seconds);
     }
     auto haloop = RunMrPageRankSeries(Graph(), true, kWorkers, 31);
     if (haloop.ok()) {
@@ -87,15 +60,6 @@ void BM_SsspBandwidth(benchmark::State& state) {
     if (rex.ok()) {
       RecordProfile("sssp/REXdelta", rex->profile);
       EmitBoth("fig11a", "REXdelta", rex->bytes_sent, rex->total_seconds);
-      EmitCompression("fig11a", "REXdelta", rex->profile);
-    }
-    RexRunTweaks nodiff;
-    nodiff.diff_checkpoints = false;
-    auto raw = RunRexSssp(Graph(), /*delta=*/true, kWorkers, 15, 0, nodiff);
-    if (raw.ok()) {
-      RecordProfile("sssp/REXdelta-nodiff", raw->profile);
-      EmitBoth("fig11a", "REXdelta-nodiff", raw->bytes_sent,
-               raw->total_seconds);
     }
     auto haloop = RunMrSsspSeries(Graph(), true, kWorkers, 15);
     if (haloop.ok()) {

@@ -16,11 +16,8 @@ GraphData& Graph() {
 }
 
 Result<double> RunWithFailure(const std::string& label,
-                              FailureInjection failure,
-                              bool diff_checkpoints = true) {
-  EngineConfig engine = BenchEngineConfig(kWorkers);
-  engine.diff_checkpoints = diff_checkpoints;
-  Cluster cluster(std::move(engine));
+                              FailureInjection failure) {
+  Cluster cluster(BenchEngineConfig(kWorkers));
   REX_RETURN_NOT_OK(LoadGraphTables(&cluster, Graph()));
   SsspConfig cfg;
   REX_RETURN_NOT_OK(RegisterSsspUdfs(cluster.udfs(), cfg));
@@ -28,14 +25,9 @@ Result<double> RunWithFailure(const std::string& label,
   QueryOptions options;
   options.failure = failure;
   REX_ASSIGN_OR_RETURN(QueryRunResult run, cluster.Run(plan, options));
-  // The checkpoint volume the recovery resumes from, raw vs stored —
-  // delta-chained epochs shrink the replicated footprint (§4.3) without
-  // changing what the chain reconstructs.
+  // The replicated checkpoint volume the recovery resumes from (§4.3).
   Row("fig12", label + "/ckpt_raw_mb", failure.before_stratum,
       static_cast<double>(run.profile.ckpt_raw_bytes) / (1024.0 * 1024.0),
-      "MB");
-  Row("fig12", label + "/ckpt_stored_mb", failure.before_stratum,
-      static_cast<double>(run.profile.ckpt_stored_bytes) / (1024.0 * 1024.0),
       "MB");
   RecordProfile(label, std::move(run.profile));
   return run.total_seconds;

@@ -47,27 +47,15 @@ inline MrConfig BenchMrConfig(int workers) {
   return cfg;
 }
 
-/// Data-path knobs for the ablation series.
-struct RexRunTweaks {
-  /// Differential compression (common/delta_codec.h) of checkpoint epoch
-  /// chains. Results are bit-identical either way; the ablation pairs
-  /// compare stored byte volume.
-  bool diff_checkpoints = true;
-};
-
 /// REX PageRank in any of the three configurations of §6. `iterations`
 /// bounds wrap/no-delta runs (delta terminates implicitly but is bounded
 /// too, for the fixed-x-axis figures).
 inline Result<SeriesResult> RunRexPageRank(const GraphData& graph,
                                            RexMode mode, int workers,
-                                           int iterations,
-                                           double threshold = 0.01,
-                                           RexRunTweaks tweaks = {}) {
-  EngineConfig engine = BenchEngineConfig(workers);
-  engine.diff_checkpoints = tweaks.diff_checkpoints;
-  Cluster cluster(std::move(engine));
+                                           int iterations) {
+  Cluster cluster(BenchEngineConfig(workers));
   PageRankConfig cfg;
-  cfg.threshold = threshold;
+  cfg.threshold = 0.01;  // §6: "changed by more than 1%"
   cfg.relative = true;
   PlanSpec plan;
   if (mode == RexMode::kWrap) {
@@ -108,15 +96,10 @@ inline Result<SeriesResult> RunRexPageRank(const GraphData& graph,
 }
 
 inline Result<SeriesResult> RunRexSssp(const GraphData& graph, bool delta,
-                                       int workers, int max_iterations,
-                                       int64_t source = 0,
-                                       RexRunTweaks tweaks = {}) {
-  EngineConfig engine = BenchEngineConfig(workers);
-  engine.diff_checkpoints = tweaks.diff_checkpoints;
-  Cluster cluster(std::move(engine));
+                                       int workers, int max_iterations) {
+  Cluster cluster(BenchEngineConfig(workers));
   REX_RETURN_NOT_OK(LoadGraphTables(&cluster, graph));
-  SsspConfig cfg;
-  cfg.source = source;
+  SsspConfig cfg;  // source vertex 0
   REX_RETURN_NOT_OK(RegisterSsspUdfs(cluster.udfs(), cfg));
   PlanSpec plan;
   if (delta) {

@@ -38,6 +38,9 @@ WhileHandler MakeAdsorbFix(const AdsorptionConfig& config) {
 JoinHandler MakeAdsorbJoin(const AdsorptionConfig& config) {
   JoinHandler h;
   h.name = "AdsorbJoin" + config.name_suffix;
+  h.out_schema = Schema{{"nbr", ValueType::kInt},
+                        {"label", ValueType::kInt},
+                        {"share", ValueType::kDouble}};
   const double damping = config.damping;
   h.update = [damping](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
                        const Delta& d, DeltaSink* out) -> Status {

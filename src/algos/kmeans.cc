@@ -43,6 +43,10 @@ Result<std::pair<int64_t, double>> Nearest(const TupleSet& centroids,
 JoinHandler MakeKmJoin(const KMeansConfig& config) {
   JoinHandler h;
   h.name = "KMJoin" + config.name_suffix;
+  h.out_schema = Schema{{"cid", ValueType::kInt},
+                        {"x", ValueType::kDouble},
+                        {"y", ValueType::kDouble},
+                        {"count", ValueType::kInt}};
   h.update = [](TupleSet* centroid_bucket, TupleSet* point_bucket,
                 const Delta& d, DeltaSink* out) -> Status {
     if (d.tuple.size() < 4) {

@@ -46,6 +46,8 @@ WhileHandler MakePrFix(const PageRankConfig& config) {
 JoinHandler MakePrJoin(const PageRankConfig& config) {
   JoinHandler h;
   h.name = "PRJoin" + config.name_suffix;
+  h.out_schema =
+      Schema{{"nbr", ValueType::kInt}, {"share", ValueType::kDouble}};
   const double damping = config.damping;
   h.update = [damping](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
                        const Delta& d, DeltaSink* out) -> Status {
@@ -68,6 +70,8 @@ JoinHandler MakePrJoin(const PageRankConfig& config) {
 JoinHandler MakePrJoinFull(const PageRankConfig& config) {
   JoinHandler h;
   h.name = "PRJoinFull" + config.name_suffix;
+  h.out_schema =
+      Schema{{"nbr", ValueType::kInt}, {"share", ValueType::kDouble}};
   const double damping = config.damping;
   h.update = [damping](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
                        const Delta& d, DeltaSink* out) -> Status {

@@ -26,6 +26,7 @@ WhileHandler MakeSpFix(const SsspConfig& config) {
 JoinHandler MakeSpJoin(const SsspConfig& config) {
   JoinHandler h;
   h.name = "SPJoin" + config.name_suffix;
+  h.out_schema = Schema{{"nbr", ValueType::kInt}, {"cand", ValueType::kInt}};
   h.update = [](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
                 const Delta& d, DeltaSink* out) -> Status {
     REX_ASSIGN_OR_RETURN(int64_t dist, d.tuple.field(1).ToInt());

@@ -17,9 +17,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 Cluster::Cluster(EngineConfig config)
     : config_(config),
-      checkpoints_(CheckpointStore::Options{
-          config.num_workers, config.diff_checkpoints,
-          config.checkpoint_keyframe_every}) {
+      checkpoints_(config.num_workers) {
   network_ = std::make_unique<Network>(config_.num_workers,
                                        config_.channel_capacity,
                                        config_.send_retry_budget);
@@ -420,9 +418,7 @@ Cluster::ResidentQuery* Cluster::Resident(int query_id) {
   if (query_id != 0) {
     q.owned_votes = std::make_unique<VoteBoard>();
     q.owned_checkpoints =
-        std::make_unique<CheckpointStore>(CheckpointStore::Options{
-            config_.num_workers, config_.diff_checkpoints,
-            config_.checkpoint_keyframe_every});
+        std::make_unique<CheckpointStore>(config_.num_workers);
     // A board created mid-life must reject votes from incarnations the
     // cluster has already declared dead.
     for (int w = 0; w < num_workers(); ++w) {
@@ -563,7 +559,7 @@ void Cluster::AssembleProfile(const std::vector<int>& live,
   p.recovery_refetch_bytes = ckpt.Value(metrics::kRecoveryRefetchBytes);
   p.checkpoint_repairs = ckpt.Value(metrics::kCheckpointRepairs);
   p.ckpt_raw_bytes = ckpt.Value(metrics::kCheckpointRawBytes);
-  p.ckpt_stored_bytes = ckpt.Value(metrics::kCheckpointStoredBytes);
+  p.ckpt_stored_bytes = p.ckpt_raw_bytes;
   p.detection_latency_ticks = detector_->detection_latency_ticks();
   p.retransmits = network_->metrics().Value(metrics::kRetransmits);
 
@@ -826,7 +822,6 @@ Cluster::ProfileBaseline Cluster::SnapshotBaseline() const {
   b.recovery_refetch_bytes = ckpt.Value(metrics::kRecoveryRefetchBytes);
   b.checkpoint_repairs = ckpt.Value(metrics::kCheckpointRepairs);
   b.ckpt_raw_bytes = ckpt.Value(metrics::kCheckpointRawBytes);
-  b.ckpt_stored_bytes = ckpt.Value(metrics::kCheckpointStoredBytes);
   return b;
 }
 
@@ -846,7 +841,7 @@ void Cluster::SubtractBaseline(const ProfileBaseline& base, QueryProfile* p) {
       diff(p->checkpoint_repairs, base.checkpoint_repairs);
   p->retransmits = diff(p->retransmits, base.retransmits);
   p->ckpt_raw_bytes = diff(p->ckpt_raw_bytes, base.ckpt_raw_bytes);
-  p->ckpt_stored_bytes = diff(p->ckpt_stored_bytes, base.ckpt_stored_bytes);
+  p->ckpt_stored_bytes = p->ckpt_raw_bytes;
 }
 
 Result<QueryRunResult> Cluster::ApplyBaseUpdate(int query_id,

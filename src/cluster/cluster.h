@@ -272,7 +272,6 @@ class Cluster {
     int64_t checkpoint_repairs = 0;
     int64_t retransmits = 0;
     int64_t ckpt_raw_bytes = 0;
-    int64_t ckpt_stored_bytes = 0;
   };
   ProfileBaseline SnapshotBaseline() const;
   static void SubtractBaseline(const ProfileBaseline& base, QueryProfile* p);

@@ -21,6 +21,11 @@
 // truncation, COPY ranges outside the reference, and output overflowing
 // the header's target_size (or the caller's cap) are all rejected with an
 // error instead of being misread — the same posture as the serde guards.
+//
+// Nothing in the engine calls this codec any more: the checkpoint store
+// keeps each entry as one serialized payload shared by its holders
+// (DESIGN.md "Checkpoint payloads"). It stays a tested library until
+// ROADMAP's "Delete the unused delta codec" removes it with its tests.
 #ifndef REX_COMMON_DELTA_CODEC_H_
 #define REX_COMMON_DELTA_CODEC_H_
 

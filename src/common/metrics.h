@@ -148,13 +148,8 @@ inline constexpr const char kBatchRows[] = "exec.batch_rows";
 inline constexpr const char kBatchFallbackRows[] = "exec.batch_fallback_rows";
 inline constexpr const char kCheckpointBytes[] = "recovery.checkpoint_bytes";
 inline constexpr const char kCheckpointTuples[] = "recovery.checkpoint_tuples";
-/// Checkpoint differential compression (common/delta_codec.h). Raw = the
-/// serialized epoch before the codec ran; stored = what was actually kept
-/// after delta-encoding and the profitability gate (equal to raw when the
-/// codec is off or never profitable).
+/// Serialized checkpoint bytes, one copy per holder.
 inline constexpr const char kCheckpointRawBytes[] = "storage.ckpt_raw_bytes";
-inline constexpr const char kCheckpointStoredBytes[] =
-    "storage.ckpt_stored_bytes";
 /// Nothing writes this; kept because perfbench/src/harness.cc reads it.
 inline constexpr const char kRunRawBytes[] = "net.run_raw_bytes";
 /// Nothing writes this; kept because perfbench/src/harness.cc reads it.

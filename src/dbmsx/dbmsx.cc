@@ -12,6 +12,9 @@ namespace {
 JoinHandler MakeXJoin(const DbmsXConfig& config) {
   JoinHandler h;
   h.name = "XJoinPR" + config.name_suffix;
+  h.out_schema = Schema{{"nbr", ValueType::kInt},
+                        {"share", ValueType::kDouble},
+                        {"iter", ValueType::kInt}};
   const double damping = config.damping;
   h.update = [damping](TupleSet* /*delta_side*/, TupleSet* graph_bucket,
                        const Delta& d, DeltaSink* out) -> Status {

@@ -37,18 +37,6 @@ struct EngineConfig {
   /// Replicate fixpoint Δ sets each stratum (incremental recovery, §4.3).
   bool checkpoint_deltas = true;
 
-  /// Differential compression (common/delta_codec.h) of checkpoints: store
-  /// each (fixpoint, stratum, owner) checkpoint epoch as a binary delta
-  /// against the owner's previous epoch. A byte-profitability gate never
-  /// stores a delta bigger than the raw epoch, and results are
-  /// bit-identical with the knob off; it exists as a kill switch and for
-  /// the ablation benches.
-  bool diff_checkpoints = true;
-  /// Force a self-contained keyframe every N epochs on a checkpoint chain
-  /// (bounds reconstruction work and the blast radius of a corrupted
-  /// mid-chain delta). <= 1 stores every epoch as a keyframe.
-  int checkpoint_keyframe_every = 8;
-
   /// Safety valve for diverging queries.
   int max_strata = 10000;
 

@@ -106,9 +106,9 @@ struct QueryProfile {
 
   int64_t tuples_sent = 0;  // deltas that crossed the network
 
-  /// Differential-compression meters (Fig. 11's raw-vs-stored ablation):
-  /// checkpoint epochs before/after delta-chain encoding. raw == stored
-  /// when the codec is off or never profitable.
+  /// Serialized checkpoint bytes, one copy per holder. Payloads are
+  /// stored as serialized, so `ckpt_stored_bytes` equals `ckpt_raw_bytes`;
+  /// it stays because perfbench/src/harness.cc reads it.
   int64_t ckpt_raw_bytes = 0;
   int64_t ckpt_stored_bytes = 0;
 

@@ -1,8 +1,8 @@
 #include "storage/checkpoint_store.h"
 
 #include <algorithm>
+#include <iterator>
 
-#include "common/delta_codec.h"
 #include "common/hash.h"
 #include "common/serde.h"
 
@@ -14,122 +14,30 @@ uint64_t Checksum(const std::string& bytes) {
   return HashBytes(bytes.data(), bytes.size());
 }
 
-bool CopyValid(const std::string& bytes, uint64_t checksum) {
-  return Checksum(bytes) == checksum;
-}
-
-/// Payloads below this never delta-encode: codec framing would eat any
-/// win, and empty stratum-complete markers dominate this size class.
-constexpr size_t kMinDiffBytes = 64;
-
 }  // namespace
 
 Status CheckpointStore::ValidateIds(const char* op, int fixpoint_id,
                                     int stratum, int worker) const {
   if (fixpoint_id < 0 || stratum < 0 || worker < 0 ||
-      (options_.num_workers >= 0 && worker >= options_.num_workers)) {
+      (num_workers_ >= 0 && worker >= num_workers_)) {
     return Status::InvalidArgument(
         std::string("checkpoint ") + op + ": invalid ids (fixpoint_id=" +
         std::to_string(fixpoint_id) + ", stratum=" + std::to_string(stratum) +
         ", worker=" + std::to_string(worker) + ", num_workers=" +
-        std::to_string(options_.num_workers) + ")");
+        std::to_string(num_workers_) + ")");
   }
   return Status::OK();
 }
 
-const CheckpointStore::Entry* CheckpointStore::FindPredecessor(
-    int fixpoint_id, int stratum, int owner,
-    const std::vector<int>& replicas, int64_t exclude_epoch) const {
-  for (int s = stratum; s >= 0; --s) {
-    auto it = entries_.find({fixpoint_id, s});
-    if (it == entries_.end()) continue;
-    const std::vector<Entry>& slot = it->second;
-    for (auto rit = slot.rbegin(); rit != slot.rend(); ++rit) {
-      if (rit->owner == owner && rit->replicas == replicas &&
-          rit->epoch_id != exclude_epoch) {
-        return &*rit;
-      }
-    }
-  }
-  return nullptr;
+bool CheckpointStore::Copy::Valid() const {
+  return Checksum(*bytes) == checksum;
 }
 
 const CheckpointStore::Copy* CheckpointStore::FindValidCopy(const Entry& e) {
   for (const auto& [holder, copy] : e.copies) {
-    if (CopyValid(copy.bytes, copy.checksum)) return &copy;
+    if (copy.Valid()) return &copy;
   }
   return nullptr;
-}
-
-Result<std::string> CheckpointStore::ReconstructRaw(const Entry& e) const {
-  // Walk the reference chain down to the keyframe. Depth is bounded by the
-  // keyframe knob; the extra slack guards against metadata corruption.
-  std::vector<const Entry*> chain;  // [target, ..., keyframe]
-  const Entry* cur = &e;
-  const int max_hops = std::max(options_.keyframe_every, 1) + 2;
-  while (true) {
-    chain.push_back(cur);
-    if (cur->ref_epoch_id < 0) break;
-    if (static_cast<int>(chain.size()) > max_hops) {
-      return Status::DataLoss(
-          "checkpoint chain of writer " + std::to_string(e.owner) +
-          " exceeds keyframe bound (corrupt chain metadata)");
-    }
-    auto it = epoch_index_.find(cur->ref_epoch_id);
-    if (it == epoch_index_.end()) {
-      return Status::DataLoss(
-          "checkpoint chain reference epoch " +
-          std::to_string(cur->ref_epoch_id) + " of writer " +
-          std::to_string(e.owner) + " no longer exists");
-    }
-    const auto& [key, index] = it->second;
-    auto sit = entries_.find(key);
-    if (sit == entries_.end() || index >= sit->second.size() ||
-        sit->second[index].epoch_id != cur->ref_epoch_id) {
-      return Status::DataLoss("checkpoint chain index is stale for epoch " +
-                              std::to_string(cur->ref_epoch_id));
-    }
-    cur = &sit->second[index];
-  }
-  // Decode keyframe-up, in place, verifying every step: stored checksums
-  // catch corrupt copies (any valid replica will do — entry-level access
-  // control applies to the entry being read, handled by the caller), raw
-  // checksums catch a reconstruction that drifted from what was written.
-  auto hop_bytes = [](const Entry& hop) -> Result<const Copy*> {
-    const Copy* good = FindValidCopy(hop);
-    if (good == nullptr) {
-      return Status::DataLoss(
-          "all " + std::to_string(hop.copies.size()) +
-          " copies of chained checkpoint epoch " +
-          std::to_string(hop.epoch_id) + " failed their integrity check");
-    }
-    return good;
-  };
-  const Entry* keyframe = chain.back();
-  REX_ASSIGN_OR_RETURN(const Copy* base, hop_bytes(*keyframe));
-  std::string raw = base->bytes;
-  if (Checksum(raw) != keyframe->raw_checksum) {
-    return Status::DataLoss("checkpoint keyframe epoch " +
-                            std::to_string(keyframe->epoch_id) +
-                            " failed its raw integrity check");
-  }
-  for (size_t i = chain.size() - 1; i-- > 0;) {
-    const Entry* hop = chain[i];
-    REX_ASSIGN_OR_RETURN(const Copy* delta, hop_bytes(*hop));
-    Status st = DeltaCodecDecodeInPlace(&raw, delta->bytes, hop->raw_size);
-    if (!st.ok()) {
-      return Status::DataLoss("checkpoint epoch " +
-                              std::to_string(hop->epoch_id) +
-                              " failed to reconstruct: " + st.ToString());
-    }
-    if (raw.size() != hop->raw_size ||
-        Checksum(raw) != hop->raw_checksum) {
-      return Status::DataLoss("checkpoint epoch " +
-                              std::to_string(hop->epoch_id) +
-                              " reconstructed to wrong bytes");
-    }
-  }
-  return raw;
 }
 
 Status CheckpointStore::Put(int fixpoint_id, int stratum, int owner,
@@ -140,148 +48,84 @@ Status CheckpointStore::Put(int fixpoint_id, int stratum, int owner,
   for (int r : replicas) {
     REX_RETURN_NOT_OK(ValidateIds("put(replica)", fixpoint_id, stratum, r));
   }
-  std::string raw = SerializeTuples(delta_set);
-  const uint64_t raw_checksum = Checksum(raw);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const int64_t copies_factor =
+  // Serialize and checksum before taking the store lock: concurrent puts
+  // from the other workers then queue only behind map inserts.
+  auto payload =
+      std::make_shared<const std::string>(SerializeTuples(delta_set));
+  const Copy copy{payload, Checksum(*payload)};
+  const int64_t replicated_bytes =
+      static_cast<int64_t>(payload->size()) *
       static_cast<int64_t>(std::max<size_t>(replicas.size(), 1));
-  metrics_.GetCounter(metrics::kCheckpointBytes)
-      ->Add(static_cast<int64_t>(raw.size()) * copies_factor);
+  metrics_.GetCounter(metrics::kCheckpointBytes)->Add(replicated_bytes);
+  metrics_.GetCounter(metrics::kCheckpointRawBytes)->Add(replicated_bytes);
   metrics_.GetCounter(metrics::kCheckpointTuples)
       ->Add(static_cast<int64_t>(delta_set.size()));
-  metrics_.GetCounter(metrics::kCheckpointRawBytes)
-      ->Add(static_cast<int64_t>(raw.size()) * copies_factor);
 
+  std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = entries_[{fixpoint_id, stratum}];
   // A worker checkpoints one entry per replica-group of its Δ set; a
   // re-executed stratum overwrites its group rather than duplicating it.
   // Appending mode skips the dedupe: the new entry extends the stratum's
   // replay history in order (base-update seeds).
   Entry* entry = nullptr;
-  bool overwrite = false;
   if (!append) {
     for (Entry& e : slot) {
       if (e.owner == owner && e.replicas == replicas) {
         entry = &e;
-        overwrite = true;
         break;
       }
     }
   }
   if (entry == nullptr) {
-    slot.push_back(Entry{owner, replicas, {}, 0, -1, 0, 0, 0});
+    slot.push_back(Entry{owner, replicas, {}});
     entry = &slot.back();
-    epoch_index_[next_epoch_id_] = {Key{fixpoint_id, stratum},
-                                    slot.size() - 1};
-  } else {
-    // The overwritten epoch is gone; any (stale) chain that referenced it
-    // must fail loudly on read rather than decode against the new bytes.
-    epoch_index_.erase(entry->epoch_id);
-    epoch_index_[next_epoch_id_] = {
-        Key{fixpoint_id, stratum},
-        static_cast<size_t>(entry - slot.data())};
   }
-  entry->epoch_id = next_epoch_id_++;
-  entry->raw_checksum = raw_checksum;
-  entry->raw_size = raw.size();
-  entry->ref_epoch_id = -1;
-  entry->chain_depth = 0;
-
-  // Differential storage: encode against the chain predecessor when the
-  // chain has room before its next keyframe and the delta actually wins
-  // bytes. Overwrites always keyframe — their old epoch vanished, and a
-  // re-executed stratum must not chain onto bytes later reads can't trust.
-  std::string stored = raw;
-  const ChainKey chain_key{fixpoint_id, owner, replicas};
-  if (options_.diff_payloads && options_.keyframe_every > 1 && !overwrite &&
-      raw.size() >= kMinDiffBytes) {
-    const Entry* pred = FindPredecessor(fixpoint_id, stratum, owner,
-                                        replicas, entry->epoch_id);
-    if (pred != nullptr &&
-        pred->chain_depth + 1 < options_.keyframe_every) {
-      const std::string* pred_raw = nullptr;
-      std::string reconstructed;
-      auto cit = tail_cache_.find(chain_key);
-      if (cit != tail_cache_.end() && cit->second.first == pred->epoch_id) {
-        pred_raw = &cit->second.second;
-      } else {
-        // Cache miss (e.g. fresh store after recovery): rebuild the
-        // predecessor; if its chain is unreadable, fall back to a keyframe
-        // rather than failing the write path.
-        Result<std::string> r = ReconstructRaw(*pred);
-        if (r.ok()) {
-          reconstructed = std::move(*r);
-          pred_raw = &reconstructed;
-        }
-      }
-      if (pred_raw != nullptr) {
-        std::string encoded = DeltaCodecEncode(*pred_raw, raw);
-        if (encoded.size() < raw.size()) {  // profitability gate
-          stored = std::move(encoded);
-          entry->ref_epoch_id = pred->epoch_id;
-          entry->chain_depth = pred->chain_depth + 1;
-        }
-      }
-    }
-  }
-  metrics_.GetCounter(metrics::kCheckpointStoredBytes)
-      ->Add(static_cast<int64_t>(stored.size()) * copies_factor);
-
-  const uint64_t stored_checksum = Checksum(stored);
   entry->copies.clear();
-  entry->copies[owner] = Copy{stored, stored_checksum};
-  for (int r : replicas) entry->copies[r] = Copy{stored, stored_checksum};
-  tail_cache_[chain_key] = {entry->epoch_id, std::move(raw)};
+  entry->copies[owner] = copy;
+  for (int r : replicas) entry->copies[r] = copy;
   return Status::OK();
 }
 
 Result<std::vector<Tuple>> CheckpointStore::Read(int fixpoint_id, int stratum,
                                                  int reader) {
   REX_RETURN_NOT_OK(ValidateIds("read", fixpoint_id, stratum, reader));
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::shared_ptr<const std::string>> payloads;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find({fixpoint_id, stratum});
+    if (it == entries_.end()) return std::vector<Tuple>{};
+    for (Entry& e : it->second) {
+      auto cit = e.copies.find(reader);
+      if (cit == e.copies.end()) continue;
+      Copy& mine = cit->second;
+      if (!mine.Valid()) {
+        // Integrity failure: repair from the first checksum-valid copy
+        // held by anyone (deterministic holder order).
+        const Copy* good = FindValidCopy(e);
+        if (good == nullptr) {
+          return Status::DataLoss(
+              "all " + std::to_string(e.copies.size()) +
+              " copies of checkpoint entry (fixpoint " +
+              std::to_string(fixpoint_id) + ", stratum " +
+              std::to_string(stratum) + ", writer " +
+              std::to_string(e.owner) + ") failed their integrity check");
+        }
+        metrics_.GetCounter(metrics::kCheckpointRepairs)->Increment();
+        metrics_.GetCounter(metrics::kRecoveryRefetchBytes)
+            ->Add(static_cast<int64_t>(good->bytes->size()));
+        mine = *good;
+      }
+      payloads.push_back(mine.bytes);
+    }
+  }
+  // The payloads are immutable and these pointers keep them alive, so a
+  // concurrent Put, TruncateAfter or Clear cannot touch what is decoded.
   std::vector<Tuple> out;
-  auto it = entries_.find({fixpoint_id, stratum});
-  if (it == entries_.end()) return out;
-  for (Entry& e : it->second) {
-    auto cit = e.copies.find(reader);
-    if (cit == e.copies.end()) continue;
-    Copy& mine = cit->second;
-    if (!CopyValid(mine.bytes, mine.checksum)) {
-      // Integrity failure: repair from the first checksum-valid copy held
-      // by anyone (deterministic holder order). Repair moves stored bytes
-      // — for a chained entry that is the compressed delta, which is the
-      // point: replicas re-sync without shipping the reconstructed state.
-      const Copy* good = FindValidCopy(e);
-      if (good == nullptr) {
-        return Status::DataLoss(
-            "all " + std::to_string(e.copies.size()) +
-            " copies of checkpoint entry (fixpoint " +
-            std::to_string(fixpoint_id) + ", stratum " +
-            std::to_string(stratum) + ", writer " + std::to_string(e.owner) +
-            ") failed their integrity check");
-      }
-      metrics_.GetCounter(metrics::kCheckpointRepairs)->Increment();
-      metrics_.GetCounter(metrics::kRecoveryRefetchBytes)
-          ->Add(static_cast<int64_t>(good->bytes.size()));
-      mine = *good;
-    }
-    std::string raw;
-    if (e.ref_epoch_id < 0) {
-      // Keyframe: stored bytes ARE the raw payload, but verify the raw
-      // checksum anyway — it is what the reconstruction contract promises.
-      if (mine.bytes.size() != e.raw_size ||
-          Checksum(mine.bytes) != e.raw_checksum) {
-        return Status::DataLoss(
-            "checkpoint keyframe (fixpoint " + std::to_string(fixpoint_id) +
-            ", stratum " + std::to_string(stratum) + ", writer " +
-            std::to_string(e.owner) + ") failed its raw integrity check");
-      }
-      raw = mine.bytes;
-    } else {
-      REX_ASSIGN_OR_RETURN(raw, ReconstructRaw(e));
-    }
-    REX_ASSIGN_OR_RETURN(std::vector<Tuple> tuples, DeserializeTuples(raw));
-    for (Tuple& t : tuples) out.push_back(std::move(t));
+  for (const auto& payload : payloads) {
+    REX_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
+                         DeserializeTuples(*payload));
+    out.insert(out.end(), std::make_move_iterator(tuples.begin()),
+               std::make_move_iterator(tuples.end()));
   }
   return out;
 }
@@ -300,16 +144,11 @@ void CheckpointStore::TruncateAfter(int stratum) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->first.second > stratum) {
-      for (const Entry& e : it->second) epoch_index_.erase(e.epoch_id);
       it = entries_.erase(it);
     } else {
       ++it;
     }
   }
-  // Chain tails may have been truncated away; drop the encode cache rather
-  // than chase which chains survived (the next Put re-reconstructs or
-  // keyframes).
-  tail_cache_.clear();
 }
 
 Status CheckpointStore::GrantRecoveryAccess(
@@ -338,7 +177,7 @@ Status CheckpointStore::GrantRecoveryAccess(
       // live copies from it while we are here.
       const Copy* good = nullptr;
       for (const auto& [holder, copy] : e.copies) {
-        if (is_live(holder) && CopyValid(copy.bytes, copy.checksum)) {
+        if (is_live(holder) && copy.Valid()) {
           good = &copy;
           break;
         }
@@ -351,11 +190,12 @@ Status CheckpointStore::GrantRecoveryAccess(
             std::to_string(e.owner) + ") failed their integrity check");
       }
       const Copy source = *good;  // e.copies mutates below
+      const auto source_bytes = static_cast<int64_t>(source.bytes->size());
       for (auto& [holder, copy] : e.copies) {
-        if (is_live(holder) && !CopyValid(copy.bytes, copy.checksum)) {
+        if (is_live(holder) && !copy.Valid()) {
           copy = source;
           ++repairs;
-          refetch_bytes += static_cast<int64_t>(source.bytes.size());
+          refetch_bytes += source_bytes;
         }
       }
       auto holds = [&e](int w) {
@@ -369,7 +209,7 @@ Status CheckpointStore::GrantRecoveryAccess(
         if (is_live(w) && !holds(w)) {
           e.replicas.push_back(w);
           e.copies[w] = source;
-          refetch_bytes += static_cast<int64_t>(source.bytes.size());
+          refetch_bytes += source_bytes;
         }
       }
       // Top the copy count back up to the replication factor.
@@ -382,7 +222,7 @@ Status CheckpointStore::GrantRecoveryAccess(
         if (!holds(w)) {
           e.replicas.push_back(w);
           e.copies[w] = source;
-          refetch_bytes += static_cast<int64_t>(source.bytes.size());
+          refetch_bytes += source_bytes;
         }
       }
     }
@@ -405,12 +245,14 @@ int CheckpointStore::CorruptCopies(int holder, int max_entries) {
       bool hit = false;
       for (auto& [w, copy] : e.copies) {
         if (holder != -1 && w != holder) continue;
-        if (copy.bytes.empty()) {
-          copy.bytes.push_back('\x5a');  // even an empty payload can rot
+        std::string rotten = *copy.bytes;
+        if (rotten.empty()) {
+          rotten.push_back('\x5a');  // even an empty payload can rot
         } else {
-          copy.bytes[copy.bytes.size() / 2] =
-              static_cast<char>(copy.bytes[copy.bytes.size() / 2] ^ 0x5a);
+          rotten[rotten.size() / 2] =
+              static_cast<char>(rotten[rotten.size() / 2] ^ 0x5a);
         }
+        copy.bytes = std::make_shared<const std::string>(std::move(rotten));
         hit = true;
       }
       if (hit) ++corrupted;
@@ -450,8 +292,6 @@ Status CheckpointStore::VerifyReadable(const std::vector<int>& live,
 void CheckpointStore::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
-  epoch_index_.clear();
-  tail_cache_.clear();
 }
 
 int64_t CheckpointStore::total_bytes() const {
@@ -459,10 +299,9 @@ int64_t CheckpointStore::total_bytes() const {
   int64_t total = 0;
   for (const auto& [key, slot] : entries_) {
     for (const Entry& e : slot) {
-      // Stored payload size, counted once per entry (copies are replicas
-      // of the same bytes).
+      // Payload size, counted once per entry (its holders share it).
       if (!e.copies.empty()) {
-        total += static_cast<int64_t>(e.copies.begin()->second.bytes.size());
+        total += static_cast<int64_t>(e.copies.begin()->second.bytes->size());
       }
     }
   }

@@ -9,31 +9,26 @@
 //
 // The store simulates the replicated DHT: entries are serialized (so
 // checkpoint byte volume is measured honestly), each holder keeps its own
-// physical copy guarded by a checksum, and a reader may only access entries
+// copy guarded by its own checksum, and a reader may only access entries
 // for which it holds a copy (it was the writer or one of the writer's
 // chosen replicas). A copy that fails its integrity check on read is
 // repaired from a surviving checksum-valid replica; when every copy of an
 // entry is bad the read fails with StatusCode::kDataLoss and recovery
 // degrades to the restart strategy.
 //
-// With Options::diff_payloads the store compresses each (fixpoint, owner,
-// replica-group) chain differentially: an epoch's bytes are stored as a
-// rolling-hash binary delta (common/delta_codec.h) against the previous
-// epoch, bounded by a keyframe every `keyframe_every` epochs and gated on
-// byte profitability. Reads reconstruct through the chain in place; the
-// stored checksum guards each copy's stored bytes and a separate raw
-// checksum guards every reconstruction step, so a corrupted mid-chain
-// delta either repairs from a replica or fails loudly with kDataLoss.
-// Raw-vs-stored volume is metered under storage.ckpt_raw_bytes /
-// storage.ckpt_stored_bytes.
+// Holders of one entry share a single immutable payload: the simulated
+// DHT lives in one process, so a private copy per holder would only
+// multiply memory. Bytes never change after Put, which lets Read verify
+// under the store lock and deserialize after releasing it. Metering still
+// counts one copy per holder, as a real DHT would ship.
 #ifndef REX_STORAGE_CHECKPOINT_STORE_H_
 #define REX_STORAGE_CHECKPOINT_STORE_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -45,29 +40,16 @@ namespace rex {
 
 class CheckpointStore {
  public:
-  struct Options {
-    /// Bounds worker-id validation in Put/Read; -1 (the default, for
-    /// store-only unit tests) checks only for negative ids.
-    int num_workers = -1;
-    /// Store successive epochs of a (fixpoint, owner, replica-group) chain
-    /// as rolling-hash binary deltas against the previous epoch
-    /// (common/delta_codec.h), gated on byte profitability. Off stores
-    /// every epoch whole (the pre-codec behavior).
-    bool diff_payloads = false;
-    /// Force a self-contained keyframe every N epochs per chain; <= 1
-    /// keyframes everything (equivalent to diff_payloads = false).
-    int keyframe_every = 8;
-  };
-
-  explicit CheckpointStore(int num_workers = -1)
-      : CheckpointStore(Options{num_workers, false, 8}) {}
-  explicit CheckpointStore(const Options& options) : options_(options) {}
+  /// `num_workers` bounds worker-id validation in Put/Read; -1 (the
+  /// default, for store-only unit tests) checks only for negative ids.
+  explicit CheckpointStore(int num_workers = -1) : num_workers_(num_workers) {}
 
   /// Replicates `delta_set` — the Δ tuples fixpoint `fixpoint_id` on
-  /// `owner` processed during `stratum` — to `replicas` (one checksummed
-  /// physical copy per holder). Returns InvalidArgument, naming the
-  /// offending ids, for negative or out-of-range fixpoint/stratum/worker
-  /// ids instead of silently creating map entries.
+  /// `owner` processed during `stratum` — to `replicas` (every holder
+  /// points at one serialized payload under its own checksum). Returns
+  /// InvalidArgument, naming the offending ids, for negative or
+  /// out-of-range fixpoint/stratum/worker ids instead of silently creating
+  /// map entries.
   ///
   /// By default a re-Put of the same (owner, replicas) group overwrites its
   /// entry (a re-executed stratum replaces its Δ set). With `append` the
@@ -82,7 +64,8 @@ class CheckpointStore {
   /// filters by current key ownership. The reader's copy of each entry is
   /// checksum-verified; a bad copy is repaired in place from the first
   /// valid copy (any holder), and if no copy of an entry is valid the read
-  /// fails with kDataLoss. Ids are validated as in Put.
+  /// fails with kDataLoss. Deserialization runs outside the store lock.
+  /// Ids are validated as in Put.
   Result<std::vector<Tuple>> Read(int fixpoint_id, int stratum, int reader);
 
   /// Highest stratum for which ALL live writers' checkpoints exist (i.e.
@@ -109,7 +92,9 @@ class CheckpointStore {
 
   /// Chaos fault injection: flips a byte in the copies held by `holder`
   /// (-1 = every holder) in up to `max_entries` entries, in deterministic
-  /// store order. Returns the number of entries actually corrupted.
+  /// store order. Each victim gets a private rotten copy; the shared
+  /// payload other holders point at is never written. Returns the number
+  /// of entries actually corrupted.
   int CorruptCopies(int holder, int max_entries);
 
   /// Chaos invariant: every entry of strata <= `last_stratum` must be
@@ -126,66 +111,31 @@ class CheckpointStore {
   MetricsRegistry& metrics() { return metrics_; }
 
  private:
-  /// One holder's physical copy of an entry. `bytes` is the STORED payload
-  /// — either the raw serialized tuple vector (keyframe) or a codec delta
-  /// against the chain predecessor — and `checksum` guards those stored
-  /// bytes, so corruption is detected per copy before any reconstruction.
+  /// One holder's copy of an entry. Holders share the immutable payload
+  /// Put built; `checksum` is what this holder's bytes must hash to, so a
+  /// rotten copy is detected per holder.
   struct Copy {
-    std::string bytes;
+    std::shared_ptr<const std::string> bytes;
     uint64_t checksum = 0;
+
+    bool Valid() const;
   };
   struct Entry {
     int owner;
     std::vector<int> replicas;
     std::map<int, Copy> copies;  // holder -> its copy
-    /// Chain metadata. `epoch_id` is store-unique and monotonic;
-    /// `ref_epoch_id` names the predecessor whose raw bytes this entry's
-    /// delta was encoded against (-1 = keyframe, copies hold raw bytes).
-    /// `raw_checksum`/`raw_size` guard the RECONSTRUCTED payload, so a
-    /// chain can never silently decode to wrong bytes.
-    int64_t epoch_id = 0;
-    int64_t ref_epoch_id = -1;
-    int chain_depth = 0;  // keyframe = 0
-    uint64_t raw_checksum = 0;
-    size_t raw_size = 0;
   };
   // (fixpoint, stratum) -> entries from each writer.
   using Key = std::pair<int, int>;
-  /// Chain identity: entries of one (fixpoint, owner, replica-group)
-  /// delta-encode against each other, never across groups.
-  using ChainKey = std::tuple<int, int, std::vector<int>>;
 
   Status ValidateIds(const char* op, int fixpoint_id, int stratum,
                      int worker) const;
-  /// The chain predecessor for a new entry at (fixpoint, stratum): the
-  /// newest existing entry of the same (owner, replicas) at a stratum <=
-  /// `stratum` (slot order breaks ties, so an appended base-update seed
-  /// chains onto the stratum's earlier entries, never a later stratum's).
-  /// `exclude_epoch` skips the entry being written itself.
-  const Entry* FindPredecessor(int fixpoint_id, int stratum, int owner,
-                               const std::vector<int>& replicas,
-                               int64_t exclude_epoch) const;
-  /// First checksum-valid stored copy of `e` (any holder), or null.
+  /// First checksum-valid copy of `e` (any holder), or null.
   static const Copy* FindValidCopy(const Entry& e);
-  /// Reconstructs the entry's raw payload by walking its reference chain
-  /// down to a keyframe and decoding back up in place. Verifies the stored
-  /// checksum of every hop's copy and the raw checksum of every
-  /// reconstruction step; any failure is kDataLoss (degrade to restart),
-  /// never silently-wrong bytes. Caller holds `mutex_`.
-  Result<std::string> ReconstructRaw(const Entry& e) const;
 
-  const Options options_;
+  const int num_workers_;
   mutable std::mutex mutex_;
   std::map<Key, std::vector<Entry>> entries_;
-  /// epoch_id -> location of the entry (slot key + index); kept in sync
-  /// with entries_ so chain reconstruction finds predecessors without a
-  /// full scan. Indices stay valid because slots only grow (overwrites
-  /// replace in place; truncation erases whole slots).
-  std::map<int64_t, std::pair<Key, size_t>> epoch_index_;
-  /// Last raw payload per chain, so Put encodes against its predecessor
-  /// without re-reconstructing the chain on every epoch.
-  std::map<ChainKey, std::pair<int64_t, std::string>> tail_cache_;
-  int64_t next_epoch_id_ = 1;
   MetricsRegistry metrics_;
 };
 

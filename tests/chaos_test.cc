@@ -122,15 +122,14 @@ ChaosRun RunPageRankChaos(const FaultSchedule& faults) {
   return out;
 }
 
-ChaosRun RunSsspChaosWithConfig(const FaultSchedule& faults,
-                                const EngineConfig& config) {
+ChaosRun RunSsspChaos(const FaultSchedule& faults) {
   ChaosRun out;
   GraphGenOptions opt;
   opt.num_vertices = 400;
   opt.num_edges = 1600;
   opt.seed = 321;
   GraphData graph = GenerateRmatGraph(opt);
-  Cluster cluster(config);
+  Cluster cluster(ChaosConfig());
   if (Status st = LoadGraphTables(&cluster, graph); !st.ok()) {
     out.error = st.ToString();
     return out;
@@ -162,10 +161,6 @@ ChaosRun RunSsspChaosWithConfig(const FaultSchedule& faults,
   FillCommon(&out, cluster, *run);
   out.ok = true;
   return out;
-}
-
-ChaosRun RunSsspChaos(const FaultSchedule& faults) {
-  return RunSsspChaosWithConfig(faults, ChaosConfig());
 }
 
 ChaosRun RunKMeansChaos(const FaultSchedule& faults) {
@@ -606,104 +601,6 @@ TEST(ChaosSweepDirected, AllCopiesCorruptDegradesToRestart) {
   EXPECT_EQ(got.chaos.crashes, 1);
   EXPECT_GE(got.recoveries, 2);  // the failed incremental pass + restart
   EXPECT_EQ(got.live_after.size(), 3u);
-}
-
-// ---------------------------------------------------------------------------
-// Differentially compressed checkpoint chains under corruption: flipping a
-// byte of a stored copy now hits a mid-chain DELTA (every non-keyframe epoch
-// delta-encodes against its predecessor), so the read path must either
-// repair the copy from a replica or fail the whole chain loudly with
-// kDataLoss and degrade to restart — never decode silently-wrong tuples.
-// The tight keyframe interval maximizes chain depth; `ExpectExactSssp`
-// asserts the faulted answer is bit-identical to the no-failure reference.
-// ---------------------------------------------------------------------------
-
-EngineConfig DiffChainConfig() {
-  EngineConfig cfg = ChaosConfig();
-  cfg.diff_checkpoints = true;
-  cfg.checkpoint_keyframe_every = 16;  // one keyframe, everything else chained
-  return cfg;
-}
-
-TEST(ChaosSweepDiffCheckpoint, CorruptedMidChainDeltaIsRepaired) {
-  ChaosRun ref = RunSsspChaosWithConfig(FaultSchedule{}, DiffChainConfig());
-  ASSERT_TRUE(ref.ok) << ref.error;
-
-  // Worker 2 (a survivor) rots its copies — deltas included — right before
-  // worker 1's crash forces a replay through the chain; reconstruction must
-  // detect the bad stored bytes per copy and repair from replicas.
-  FaultSchedule schedule;
-  schedule.strategy = RecoveryStrategy::kIncremental;
-  FaultEvent crash;
-  crash.kind = FaultEvent::Kind::kCrash;
-  crash.worker = 1;
-  crash.at_stratum = 3;
-  schedule.events.push_back(crash);
-  FaultEvent corrupt;
-  corrupt.kind = FaultEvent::Kind::kCorruptCheckpoint;
-  corrupt.worker = 2;
-  corrupt.at_stratum = 3;
-  corrupt.count = 8;
-  schedule.events.push_back(corrupt);
-
-  ChaosRun got = RunSsspChaosWithConfig(schedule, DiffChainConfig());
-  ASSERT_TRUE(got.ok) << got.error;
-  ExpectExactSssp(got, ref);
-  EXPECT_EQ(got.chaos.crashes, 1);
-  EXPECT_EQ(got.chaos.corruptions, 1);
-  EXPECT_GE(got.recoveries, 1);
-  EXPECT_GE(got.checkpoint_repairs, 1);
-}
-
-TEST(ChaosSweepDiffCheckpoint, AllCopiesOfChainCorruptDegradeToRestart) {
-  ChaosRun ref = RunSsspChaosWithConfig(FaultSchedule{}, DiffChainConfig());
-  ASSERT_TRUE(ref.ok) << ref.error;
-
-  // Every holder's copy of the first few entries rots: the chain has no
-  // valid source left, reconstruction fails with kDataLoss (never wrong
-  // bytes), and the recovery retry loop degrades to restart.
-  FaultSchedule schedule;
-  schedule.strategy = RecoveryStrategy::kIncremental;
-  FaultEvent crash;
-  crash.kind = FaultEvent::Kind::kCrash;
-  crash.worker = 1;
-  crash.at_stratum = 3;
-  schedule.events.push_back(crash);
-  FaultEvent corrupt;
-  corrupt.kind = FaultEvent::Kind::kCorruptCheckpoint;
-  corrupt.worker = -1;  // every holder: unrepairable
-  corrupt.at_stratum = 3;
-  corrupt.count = 3;
-  schedule.events.push_back(corrupt);
-
-  ChaosRun got = RunSsspChaosWithConfig(schedule, DiffChainConfig());
-  ASSERT_TRUE(got.ok) << got.error;
-  ExpectExactSssp(got, ref);
-  EXPECT_EQ(got.chaos.crashes, 1);
-  EXPECT_GE(got.recoveries, 2);  // failed incremental pass + restart
-  EXPECT_EQ(got.live_after.size(), 3u);
-}
-
-TEST(ChaosSweepDiffCheckpoint, DiffAndWholeChainsAgreeUnderCrashes) {
-  // The codec must be invisible to recovery semantics: the same crash
-  // schedule replayed from compressed chains and from whole epochs lands on
-  // the identical answer.
-  FaultSchedule schedule;
-  schedule.strategy = RecoveryStrategy::kIncremental;
-  FaultEvent crash;
-  crash.kind = FaultEvent::Kind::kCrash;
-  crash.worker = 2;
-  crash.at_stratum = 4;
-  schedule.events.push_back(crash);
-
-  EngineConfig whole = ChaosConfig();
-  whole.diff_checkpoints = false;
-  ChaosRun plain = RunSsspChaosWithConfig(schedule, whole);
-  ASSERT_TRUE(plain.ok) << plain.error;
-  ChaosRun diffed = RunSsspChaosWithConfig(schedule, DiffChainConfig());
-  ASSERT_TRUE(diffed.ok) << diffed.error;
-  ExpectExactSssp(diffed, plain);
-  EXPECT_EQ(diffed.strata, plain.strata);
 }
 
 TEST(ChaosSweepDirected, SameSeedIsDeterministic) {

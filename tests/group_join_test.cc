@@ -385,8 +385,9 @@ TEST(GroupJoinTest, ShortRowIsInvalidArgumentOnBothPaths) {
   EXPECT_EQ(gb.NumGroups(), 0u);
 }
 
-/// Runs a PageRank-shaped RQL query whose recursive step is `step` on a
-/// 2-worker cluster, and returns how the run ended.
+/// Compiles a PageRank-shaped RQL query whose recursive step is `step` on a
+/// 2-worker cluster and, if it compiles, runs it. Returns the compile error
+/// or how the run ended.
 Status RunPrJoinQuery(const std::string& step) {
   GraphGenOptions opt;
   opt.num_vertices = 60;
@@ -398,30 +399,56 @@ Status RunPrJoinQuery(const std::string& step) {
   Cluster cluster(cfg);
   REX_RETURN_NOT_OK(LoadGraphTables(&cluster, graph));
   REX_RETURN_NOT_OK(RegisterPageRankUdfs(cluster.udfs(), PageRankConfig{}));
+  REX_ASSIGN_OR_RETURN(const JoinHandler* pr_join,
+                       cluster.udfs()->GetJoinHandler("PRJoin"));
+  // PRJoinWithoutSchema declares no out_schema, as a UDF handler may not:
+  // the compiler cannot check a projection of it, so a query that claims
+  // more columns than it writes reaches the run-time arity checks.
+  JoinHandler without_schema = *pr_join;
+  without_schema.name = "PRJoinWithoutSchema";
+  without_schema.out_schema = Schema{};
+  REX_RETURN_NOT_OK(
+      cluster.udfs()->RegisterJoinHandler(std::move(without_schema)));
   rql::CompileContext ctx;
   ctx.storage = cluster.storage();
   ctx.udfs = cluster.udfs();
-  auto compiled = rql::CompileRql(
-      "WITH PR (v, diff) AS ("
-      "  SELECT v, 0.15 FROM vertices"
-      ") UNION ALL UNTIL FIXPOINT BY v USING PRFix (" +
-          step + ")",
-      ctx);
-  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-  if (!compiled.ok()) return Status::OK();
-  return cluster.Run(compiled->spec).status();
+  REX_ASSIGN_OR_RETURN(
+      rql::CompiledQuery compiled,
+      rql::CompileRql("WITH PR (v, diff) AS ("
+                      "  SELECT v, 0.15 FROM vertices"
+                      ") UNION ALL UNTIL FIXPOINT BY v USING PRFix (" +
+                          step + ")",
+                      ctx));
+  return cluster.Run(compiled.spec).status();
 }
 
-TEST(GroupJoinTest, RqlPreAggregateOverAShortHandlerRowFails) {
-  // PRJoin writes (nbr, share); the query claims a third column and sums
-  // it. The query compiles (built-in handlers declare no out_schema), and
-  // the pre-aggregate must refuse to read past the row.
+TEST(GroupJoinTest, RqlOverWideBuiltinHandlerProjectionFailsToCompile) {
+  // PRJoin declares the two columns it writes, so claiming a third is a
+  // TypeError from CompileRql: no stratum runs.
   Status st = RunPrJoinQuery(
       "  SELECT nbr, sum(extra) FROM ("
       "    SELECT PRJoin(v, diff).{nbr, share, extra}"
       "    FROM graph, PR WHERE graph.src = PR.v GROUP BY src)"
       "  GROUP BY nbr");
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st.ToString();
+  EXPECT_NE(st.message().find("declares 2 output columns; query projects 3"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST(GroupJoinTest, RqlPreAggregateOverAShortHandlerRowFails) {
+  // The handler writes (nbr, share); the query claims a third column and
+  // sums it. Without a declared schema the query compiles, and the
+  // pre-aggregate must refuse to read past the row.
+  Status st = RunPrJoinQuery(
+      "  SELECT nbr, sum(extra) FROM ("
+      "    SELECT PRJoinWithoutSchema(v, diff).{nbr, share, extra}"
+      "    FROM graph, PR WHERE graph.src = PR.v GROUP BY src)"
+      "  GROUP BY nbr");
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("reads field 2 of a row of arity 2"),
+            std::string::npos)
+      << st.ToString();
 }
 
 TEST(GroupJoinTest, RqlRehashKeyedPastAShortHandlerRowFails) {
@@ -430,7 +457,7 @@ TEST(GroupJoinTest, RqlRehashKeyedPastAShortHandlerRowFails) {
   // past the row instead of reading out of bounds.
   Status st = RunPrJoinQuery(
       "  SELECT extra, avg(share) FROM ("
-      "    SELECT PRJoin(v, diff).{nbr, share, extra}"
+      "    SELECT PRJoinWithoutSchema(v, diff).{nbr, share, extra}"
       "    FROM graph, PR WHERE graph.src = PR.v GROUP BY src)"
       "  GROUP BY extra");
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();

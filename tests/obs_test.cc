@@ -369,12 +369,10 @@ TEST(ProfileTest, RecoveryPassesAreProfiled) {
   EXPECT_FALSE(p.workers[1].live_at_end);
   EXPECT_GT(p.checkpoint_bytes, 0);
   EXPECT_GT(p.checkpoint_tuples, 0);
-  // Byte accounting reports raw AND stored volume; the diff codec (on by
-  // default) must never store more than raw, and raw matches the
-  // pre-codec checkpoint_bytes meter.
+  // Payloads are stored as serialized: stored equals raw, and raw matches
+  // the checkpoint_bytes meter.
   EXPECT_GT(p.ckpt_raw_bytes, 0);
-  EXPECT_GT(p.ckpt_stored_bytes, 0);
-  EXPECT_LE(p.ckpt_stored_bytes, p.ckpt_raw_bytes);
+  EXPECT_EQ(p.ckpt_stored_bytes, p.ckpt_raw_bytes);
   EXPECT_EQ(p.ckpt_raw_bytes, p.checkpoint_bytes);
 }
 
@@ -432,9 +430,9 @@ TEST(ProfileTest, GoldenSampleReportMatchesSchema) {
   const Json& first = parsed->Get("runs").at(0);
   EXPECT_GE(first.Get("strata").size(), 1u);
   EXPECT_GE(first.Get("workers").size(), 1u);
-  // Compression accounting is part of the schema: raw and stored volumes
-  // are both present, non-negative, and stored never exceeds raw (the
-  // store's profitability gate keyframes unprofitable epochs).
+  // Checkpoint byte accounting is part of the schema: raw and stored
+  // volumes are both present, non-negative, and stored never exceeds raw
+  // (the sample predates uncompressed storage, where the two are equal).
   EXPECT_GE(first.Get("ckpt_raw_bytes").AsInt(), 0);
   EXPECT_LE(first.Get("ckpt_stored_bytes").AsInt(),
             first.Get("ckpt_raw_bytes").AsInt());

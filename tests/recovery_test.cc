@@ -3,6 +3,10 @@
 // avoid re-deriving completed strata.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "algos/pagerank.h"
 #include "algos/reference.h"
 #include "algos/sssp.h"
@@ -372,6 +376,70 @@ TEST(CheckpointStoreTest, GrantRepairsInvalidLiveCopies) {
   auto repaired = store.Read(8, 0, 2);
   ASSERT_TRUE(repaired.ok());
   EXPECT_EQ(repaired->size(), 1u);
+}
+
+TEST(CheckpointStoreTest, CorruptionStaysWithTheVictimHolder) {
+  // The holders share one payload; rotting holder 1's copy must not reach
+  // the bytes holder 2 reads.
+  CheckpointStore store;
+  const std::vector<Tuple> rows = {Tuple{Value(10)}, Tuple{Value(11)}};
+  ASSERT_TRUE(store.Put(5, 0, 1, {1, 2, 3}, rows).ok());
+  EXPECT_EQ(store.CorruptCopies(/*holder=*/1, /*max_entries=*/10), 1);
+  auto neighbour = store.Read(5, 0, 2);
+  ASSERT_TRUE(neighbour.ok()) << neighbour.status().ToString();
+  EXPECT_EQ(*neighbour, rows);
+  EXPECT_EQ(
+      store.metrics().GetCounter(metrics::kCheckpointRepairs)->value(), 0);
+  auto victim = store.Read(5, 0, 1);
+  ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+  EXPECT_EQ(*victim, rows);
+  EXPECT_EQ(
+      store.metrics().GetCounter(metrics::kCheckpointRepairs)->value(), 1);
+}
+
+TEST(CheckpointStoreTest, ConcurrentReadsSeeOneWholeTupleSet) {
+  // Readers decode outside the store lock while the writer rots copies and
+  // overwrites the entry. Every read must return exactly one of the two
+  // tuple sets: rotting the shared payload instead of a private copy
+  // would fail reads on every holder. Under ThreadSanitizer the test also
+  // checks that decoding outside the lock races with none of this.
+  CheckpointStore store(/*num_workers=*/3);
+  const std::vector<Tuple> first = {Tuple{Value(1)}, Tuple{Value(2)}};
+  const std::vector<Tuple> second = {Tuple{Value(3), Value(4.5)},
+                                     Tuple{Value(5), Value(6.5)},
+                                     Tuple{Value(7), Value(8.5)}};
+  const std::vector<int> holders = {0, 1, 2};
+  ASSERT_TRUE(store.Put(9, 0, 0, holders, first).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<int> bad_reads{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int reader : holders) {
+    readers.emplace_back([&, reader] {
+      started.fetch_add(1);
+      while (!done.load()) {
+        auto got = store.Read(9, 0, reader);
+        if (!got.ok() || (*got != first && *got != second)) {
+          bad_reads.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < static_cast<int>(holders.size())) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 300; ++i) {
+    store.CorruptCopies(/*holder=*/i % 3, /*max_entries=*/1);
+    EXPECT_TRUE(store.Put(9, 0, 0, holders, i % 2 == 0 ? second : first)
+                    .ok());
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_GT(reads.load(), 0);
 }
 
 TEST(PartitionMapTest, TakeoverGoesToFormerReplica) {
